@@ -15,6 +15,7 @@ from .core import (
     NotOneDifferenceError,
     OneLevelFL,
     SpaceReport,
+    ValueOutOfRangeError,
     compute_valleys,
     floor_pow2,
     fs_query,
@@ -35,7 +36,6 @@ from .trees import (
     TreeFormatError,
     UnbalancedParensError,
     UnknownNodeError,
-    UnreachableNodeError,
     euler_tour,
     parse_balanced_parens,
     parse_parent_array,
@@ -64,7 +64,7 @@ __all__ = [
     "TreeFormatError",
     "UnbalancedParensError",
     "UnknownNodeError",
-    "UnreachableNodeError",
+    "ValueOutOfRangeError",
     "compute_valleys",
     "euler_tour",
     "floor_pow2",

@@ -1,8 +1,9 @@
 """Microbenchmark drivers producing one CSV row per structure.
 
 Build time is a single wall-clock measurement; query time is measured
-over seeded nontrivial queries (y above the starting value) in batches,
-with the mean over all queries and the p99 taken over per-batch means.
+over seeded nontrivial queries (y above the starting value) in batches
+of 10k by default: ``mean_query_ns`` is the mean over all queries and
+``p99_query_ns`` the p99 of the batch means, not a per-query tail.
 All structures in one run answer the identical query stream, and their
 answers on a prefix of it are cross-checked.
 """
@@ -117,12 +118,6 @@ def build_structure(name: str, seq: DiffSequence, kappa: int):
     raise ValueError(f"unknown structure {name!r}; pick from {', '.join(STRUCTURE_NAMES)}")
 
 
-def _entries_and_bytes(structure) -> tuple[int, int]:
-    if isinstance(structure, OneLevelFL):
-        return structure.space_report().words, structure.resident_bytes()
-    return structure.entry_count(), structure.resident_bytes()
-
-
 def _time_queries(structure, xs, ys, batch: int) -> tuple[float, float]:
     query = structure.query
     means = []
@@ -170,7 +165,6 @@ def run_bench(
         for x, y in zip(xs[:1000], ys[:1000]):
             structure.query(x, y)
         mean_ns, p99_ns = _time_queries(structure, xs, ys, batch)
-        entries, nbytes = _entries_and_bytes(structure)
         records.append(
             BenchRecord(
                 structure_name=name,
@@ -179,8 +173,8 @@ def run_bench(
                 build_ns=build_ns,
                 mean_query_ns=mean_ns,
                 p99_query_ns=p99_ns,
-                entries=entries,
-                bytes=nbytes,
+                entries=structure.entry_count(),
+                bytes=structure.resident_bytes(),
                 seed=seed,
             )
         )

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 __all__ = [
     "EmptySequenceError",
     "NotOneDifferenceError",
+    "ValueOutOfRangeError",
     "InvalidKappaError",
     "DiffSequence",
     "BuildStats",
@@ -47,6 +48,14 @@ class NotOneDifferenceError(ValueError):
         )
 
 
+class ValueOutOfRangeError(OverflowError, ValueError):
+    """Raised when a value does not fit in a signed 64-bit word."""
+
+    def __init__(self, index: int):
+        self.index = index
+        super().__init__(f"value at position {index} lies outside the signed 64-bit range")
+
+
 class InvalidKappaError(ValueError):
     """Raised when the ladder parameter kappa is below 3."""
 
@@ -70,9 +79,17 @@ def validate_sequence(values: Iterable[int]) -> DiffSequence:
     Raises:
         EmptySequenceError: no elements.
         NotOneDifferenceError: some adjacent pair differs by more than one.
-        OverflowError: a value does not fit in a signed 64-bit word.
+        ValueOutOfRangeError: a value does not fit in a signed 64-bit word.
     """
-    data = values.values if isinstance(values, DiffSequence) else array("q", values)
+    if isinstance(values, DiffSequence):
+        data = values.values
+    else:
+        values = values if isinstance(values, Sequence) else list(values)  # to re-read on failure
+        try:
+            data = array("q", values)
+        except OverflowError:
+            index = next(i for i, v in enumerate(values) if not -(2**63) <= v < 2**63)
+            raise ValueOutOfRangeError(index) from None
     if not data:
         raise EmptySequenceError("sequence must contain at least one value")
     prev = data[0]
@@ -377,9 +394,13 @@ class OneLevelFL:
             words=words,
         )
 
+    def entry_count(self) -> int:
+        """Stored 64-bit words, as counted by :meth:`space_report`."""
+        return self.space_report().words
+
     def resident_bytes(self) -> int:
         """Bytes held by the stored arrays (8 per 64-bit word)."""
-        return 8 * self.space_report().words
+        return 8 * self.entry_count()
 
 
 def fs_query(structure: OneLevelFL, x: int, d: int) -> int:

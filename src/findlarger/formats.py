@@ -1,8 +1,9 @@
 """Text formats for sequences and trees.
 
-Sequence files: whitespace-separated integers, optionally preceded by a
-count header (first token equals the number of remaining tokens).  The
-generators always write the header.
+Sequence files: whitespace-separated integers after an optional count
+header: a first line holding a single integer equal to the number of
+tokens after it.  A one-line input never has one, so "2 1 2" is
+[2, 1, 2].  The writers always put the count alone on the first line.
 
 Tree files: either a parent array in the same headered layout with -1
 marking the root, or a balanced-parenthesis string.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence, TextIO
 
-from .trees import MalformedTreeError, Tree, parse_balanced_parens, parse_parent_array
+from .trees import MalformedTreeError, Tree, parse_balanced_parens, parse_parent_array, read_ints
 
 __all__ = [
     "SequenceParseError",
@@ -33,16 +34,7 @@ class SequenceParseError(ValueError):
 
 def read_sequence(text: str) -> list[int]:
     """Parse integers, dropping the count header when present."""
-    tokens = text.split()
-    if not tokens:
-        raise SequenceParseError("no tokens")
-    try:
-        numbers = [int(t) for t in tokens]
-    except ValueError as e:
-        raise SequenceParseError(f"non-integer token: {e}") from None
-    if len(numbers) >= 2 and numbers[0] == len(numbers) - 1 and numbers[0] >= 1:
-        return numbers[1:]
-    return numbers
+    return read_ints(text, SequenceParseError)
 
 
 def write_sequence(values: Sequence[int], out: TextIO) -> None:

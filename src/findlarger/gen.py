@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .trees import Tree, parse_parent_array
+from .trees import Tree
 
 __all__ = ["BadSpecError", "GenSpec", "random_walk_values", "random_parent_array", "random_tree"]
 
@@ -87,4 +87,4 @@ def random_parent_array(
 
 def random_tree(spec: GenSpec) -> Tree:
     parent = random_parent_array(spec.n, spec.seed, spec.path_bias, spec.max_degree)
-    return parse_parent_array(" ".join(map(str, parent)))
+    return Tree.from_parents(parent)

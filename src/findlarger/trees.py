@@ -11,7 +11,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from .core import OneLevelFL, fs_query
+import numpy as np
+
+from .core import DiffSequence, OneLevelFL
 
 __all__ = [
     "TreeFormatError",
@@ -19,13 +21,13 @@ __all__ = [
     "NoRootError",
     "MultipleRootsError",
     "CycleError",
-    "UnreachableNodeError",
     "UnbalancedParensError",
     "EmptyTreeError",
     "DepthOutOfRangeError",
     "UnknownNodeError",
     "Tree",
     "EulerTour",
+    "read_ints",
     "parse_parent_array",
     "parse_balanced_parens",
     "euler_tour",
@@ -53,15 +55,6 @@ class CycleError(TreeFormatError):
     """Some parent chain never reaches a root."""
 
 
-class UnreachableNodeError(TreeFormatError):
-    """A node is disconnected from the root without lying on a cycle.
-
-    Parent arrays whose chains all terminate cannot trigger this (any
-    disconnected component must contain a cycle), so the check exists as
-    an internal consistency guard.
-    """
-
-
 class UnbalancedParensError(TreeFormatError):
     """Parenthesis string closes a tree that is not open."""
 
@@ -82,8 +75,8 @@ class UnknownNodeError(ValueError):
 class Tree:
     """Rooted tree over nodes 0..n-1; parent[root] == -1.
 
-    ``children`` lists are in ascending order for parent arrays and in
-    input order for parenthesis strings.
+    ``children`` lists are in ascending order, which for a parenthesis
+    string is input order, since its nodes are numbered in preorder.
     """
 
     parent: list[int]
@@ -94,72 +87,72 @@ class Tree:
     def n_nodes(self) -> int:
         return len(self.parent)
 
+    @classmethod
+    def from_parents(cls, parent: list[int]) -> Tree:
+        """The tree whose node v has parent ``parent[v]``, -1 for the root.
 
-def parse_parent_array(text: str) -> Tree:
-    """Parse "n\\np0 p1 ... p(n-1)" where the root's parent is -1.
+        Raises MalformedTreeError (entry outside -1..n-1), CycleError, or
+        NoRootError / MultipleRootsError unless exactly one root exists.
+        """
+        n = len(parent)
+        for v, p in enumerate(parent):
+            if not -1 <= p < n:
+                raise MalformedTreeError(f"parent of node {v} is {p}, outside -1..{n - 1}")
 
-    The node count may be omitted; then every whitespace-separated token
-    is a parent entry.  Raises MalformedTreeError, CycleError, NoRootError
-    or MultipleRootsError as appropriate.
+        # walk each chain, colouring nodes done/in-progress
+        state = bytearray(n)  # 0 unvisited, 1 on current walk, 2 settled
+        for v0 in range(n):
+            if state[v0]:
+                continue
+            chain = []
+            v = v0
+            while v != -1 and state[v] == 0:
+                state[v] = 1
+                chain.append(v)
+                v = parent[v]
+            if v != -1 and state[v] == 1:
+                raise CycleError(f"parent chain from node {v0} loops at node {v}")
+            for u in chain:
+                state[u] = 2
+
+        roots = [v for v, p in enumerate(parent) if p == -1]
+        if not roots:
+            raise NoRootError("no node has parent -1")
+        if len(roots) > 1:
+            raise MultipleRootsError(f"nodes {roots} all have parent -1")
+
+        children: list[list[int]] = [[] for _ in range(n)]
+        for v, p in enumerate(parent):
+            if p != -1:
+                children[p].append(v)
+        return cls(parent=parent, children=children, root=roots[0])
+
+
+def read_ints(text: str, error: type[ValueError]) -> list[int]:
+    """Whitespace-separated integers, raising ``error`` on a bad token.
+
+    A count header, dropped, is a first line holding a single integer equal
+    to the number of tokens after it; a one-line input never has one.
     """
     tokens = text.split()
     if not tokens:
-        raise MalformedTreeError("no tokens")
+        raise error("no tokens")
     try:
         numbers = [int(t) for t in tokens]
     except ValueError as e:
-        raise MalformedTreeError(f"non-integer token: {e}") from None
-    if len(numbers) >= 2 and numbers[0] == len(numbers) - 1 and numbers[0] >= 1:
-        parent = numbers[1:]
-    else:
-        parent = numbers
-    n = len(parent)
-    for v, p in enumerate(parent):
-        if not -1 <= p < n:
-            raise MalformedTreeError(f"parent of node {v} is {p}, outside -1..{n - 1}")
+        raise error(f"non-integer token: {e}") from None
+    if len(numbers) >= 2 and numbers[0] == len(numbers) - 1:
+        # only whitespace lies between the tokens, so a newline there ends the first line
+        end = text.find(tokens[0]) + len(tokens[0])
+        if text.find("\n", end, text.find(tokens[1], end)) != -1:
+            del numbers[0]
+    return numbers
 
-    # cycle detection first: walk each chain, colouring nodes done/in-progress
-    state = bytearray(n)  # 0 unvisited, 1 on current walk, 2 settled
-    for v0 in range(n):
-        if state[v0]:
-            continue
-        chain = []
-        v = v0
-        while v != -1 and state[v] == 0:
-            state[v] = 1
-            chain.append(v)
-            v = parent[v]
-        if v != -1 and state[v] == 1:
-            raise CycleError(f"parent chain from node {v0} loops at node {v}")
-        for u in chain:
-            state[u] = 2
 
-    roots = [v for v, p in enumerate(parent) if p == -1]
-    if not roots:
-        raise NoRootError("no node has parent -1")
-    if len(roots) > 1:
-        raise MultipleRootsError(f"nodes {roots} all have parent -1")
-    root = roots[0]
-
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v, p in enumerate(parent):
-        if p != -1:
-            children[p].append(v)
-
-    # acyclic with a single root means every chain ends at it; verify anyway
-    seen = 1
-    stack = [root]
-    visited = bytearray(n)
-    visited[root] = 1
-    while stack:
-        for w in children[stack.pop()]:
-            if not visited[w]:
-                visited[w] = 1
-                seen += 1
-                stack.append(w)
-    if seen != n:
-        raise UnreachableNodeError(f"{n - seen} nodes unreachable from root {root}")
-    return Tree(parent=parent, children=children, root=root)
+def parse_parent_array(text: str) -> Tree:
+    """Parse "n\\np0 p1 ... p(n-1)" (count line optional, see :func:`read_ints`)
+    and check it with :meth:`Tree.from_parents`."""
+    return Tree.from_parents(read_ints(text, MalformedTreeError))
 
 
 def parse_balanced_parens(text: str) -> Tree:
@@ -169,7 +162,6 @@ def parse_balanced_parens(text: str) -> Tree:
     innermost open one.  Whitespace is ignored.
     """
     parent: list[int] = []
-    children: list[list[int]] = []
     stack: list[int] = []
     closed_root = False
     for c in text:
@@ -178,13 +170,8 @@ def parse_balanced_parens(text: str) -> Tree:
         if c == "(":
             if closed_root:
                 raise MultipleRootsError("several top-level trees in parenthesis string")
-            v = len(parent)
-            p = stack[-1] if stack else -1
-            parent.append(p)
-            children.append([])
-            if p != -1:
-                children[p].append(v)
-            stack.append(v)
+            parent.append(stack[-1] if stack else -1)
+            stack.append(len(parent) - 1)
         elif c == ")":
             if not stack:
                 raise UnbalancedParensError("')' with no open node")
@@ -197,7 +184,7 @@ def parse_balanced_parens(text: str) -> Tree:
         raise UnbalancedParensError(f"{len(stack)} nodes never closed")
     if not parent:
         raise EmptyTreeError("no nodes")
-    return Tree(parent=parent, children=children, root=0)
+    return Tree.from_parents(parent)
 
 
 @dataclass(frozen=True)
@@ -265,16 +252,22 @@ class LevelAncestorIndex:
     query(v, d) as the node at the first tour position >= first_pos[v]
     with depth <= d; since depths leave v's subtree only through depth
     depth(v) - 1, depth(v) - 2, ..., the first such stop has depth
-    exactly d and holds the ancestor.
+    exactly d and holds the ancestor.  The tree itself is not kept.
     """
 
-    __slots__ = ("tree", "tour", "kappa", "_fs")
+    __slots__ = ("tour", "first_pos", "depth", "nodes", "kappa", "_fs")
 
     def __init__(self, tree: Tree, kappa: int = 5):
-        self.tree = tree
-        self.tour = euler_tour(tree)
+        self.tour = tour = euler_tour(tree)
+        self.first_pos = tour.first_pos
+        self.depth = tour.depth
+        self.nodes = tour.nodes
         self.kappa = kappa
-        self._fs = OneLevelFL([-d for d in self.tour.depths], kappa)
+        # a tour's depths step by exactly one, so their negation needs no validation
+        negated = tour.depths[:]
+        view = np.frombuffer(negated, dtype=np.int64)
+        np.negative(view, out=view)
+        self._fs = OneLevelFL(DiffSequence(negated), kappa)
 
     def query(self, v: int, d: int) -> int:
         """Ancestor of v at depth d (root has depth 0).  O(1).
@@ -283,10 +276,9 @@ class LevelAncestorIndex:
             UnknownNodeError: v outside 0..n-1.
             DepthOutOfRangeError: d < 0 or d > depth(v).
         """
-        tour = self.tour
-        if not 0 <= v < len(tour.first_pos):
-            raise UnknownNodeError(f"node {v} not in 0..{len(tour.first_pos) - 1}")
-        if d < 0 or d > tour.depth[v]:
-            raise DepthOutOfRangeError(f"node {v} has depth {tour.depth[v]}, requested {d}")
-        j = fs_query(self._fs, tour.first_pos[v], d)
-        return tour.nodes[j]
+        first_pos = self.first_pos
+        if not 0 <= v < len(first_pos):
+            raise UnknownNodeError(f"node {v} not in 0..{len(first_pos) - 1}")
+        if d < 0 or d > self.depth[v]:
+            raise DepthOutOfRangeError(f"node {v} has depth {self.depth[v]}, requested {d}")
+        return self.nodes[self._fs.query(first_pos[v], -d)]

@@ -10,6 +10,7 @@ from findlarger import (
     InvalidKappaError,
     NotOneDifferenceError,
     OneLevelFL,
+    ValueOutOfRangeError,
     floor_pow2,
     fs_query,
     largest_pow2_dividing,
@@ -51,6 +52,16 @@ class TestValidateSequence:
     def test_values_must_fit_64_bits(self):
         with pytest.raises(OverflowError):
             validate_sequence([2**63, 2**63 - 1])
+
+    def test_out_of_range_value_is_named(self):
+        for build, values, index in (
+            (validate_sequence, [2**63, 2**63 - 1], 0),
+            (OneLevelFL, [-v for v in [-(2**63), -(2**63) + 1]], 0),
+            (validate_sequence, iter([1, 2, -(2**63) - 1]), 2),
+        ):
+            with pytest.raises(ValueOutOfRangeError) as e:
+                build(values)
+            assert e.value.index == index
 
     def test_single_element_is_fine(self):
         assert list(validate_sequence([41]).values) == [41]
@@ -246,3 +257,4 @@ class TestSpaceAndStats:
     def test_resident_bytes_are_words_times_8(self):
         s = OneLevelFL(EXAMPLE, 5)
         assert s.resident_bytes() == 8 * s.space_report().words
+        assert s.entry_count() == s.space_report().words

@@ -28,11 +28,15 @@ class TestSequenceFormat:
         assert read_sequence("5") == [5]
 
     def test_header_detection_needs_matching_count(self):
-        # first token counts the rest only when it actually matches
+        # a header is a first line holding only a count that matches the rest
         assert read_sequence("4\n3 4 5 4") == [3, 4, 5, 4]
         assert read_sequence("9 8 9") == [9, 8, 9]
-        # ambiguous by construction: a matching first token reads as a header
-        assert read_sequence("2 3 2") == [3, 2]
+        assert read_sequence("3\n8 9") == [3, 8, 9]
+        # a one-line input never has a header, even when its first value matches
+        assert read_sequence("2 3 2") == [2, 3, 2]
+        assert read_sequence("2 1 2") == [2, 1, 2]
+        assert read_sequence("2 1 2\n") == [2, 1, 2]
+        assert read_sequence("2 1\n2") == [2, 1, 2]
 
     def test_errors(self):
         with pytest.raises(SequenceParseError):

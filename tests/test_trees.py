@@ -1,7 +1,9 @@
 """Tree parsing, Euler tours, and the level-ancestor index."""
 
+import gc
 import io
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from findlarger import (
     LevelAncestorIndex,
     MalformedTreeError,
     MultipleRootsError,
+    Tree,
     UnbalancedParensError,
     UnknownNodeError,
     euler_tour,
@@ -50,22 +53,36 @@ class TestParentArrayParsing:
     def test_single_node(self):
         assert parse_parent_array("-1").n_nodes == 1
 
+    def test_matching_first_value_on_one_line_is_not_a_header(self):
+        t = parse_parent_array("1 -1")
+        assert t.parent == [1, -1] and t.root == 1
+        assert parse_parent_array("2\n1 -1").parent == [1, -1]
+
     def test_malformed(self):
         for text in ("", "a b", "3\n-1 0 x", "-1 7", "-1 -2"):
             with pytest.raises(MalformedTreeError):
                 parse_parent_array(text)
+        for parent in ([-1, 7], [-1, -2]):
+            with pytest.raises(MalformedTreeError):
+                Tree.from_parents(parent)
 
     def test_self_loops_are_cycles(self):
         with pytest.raises(CycleError):
             parse_parent_array("2\n0 1")
+        with pytest.raises(CycleError):
+            Tree.from_parents([0, 1])
 
     def test_longer_cycle(self):
         with pytest.raises(CycleError):
             parse_parent_array("-1 2 3 1")
+        with pytest.raises(CycleError):
+            Tree.from_parents([-1, 2, 3, 1])
 
     def test_multiple_roots(self):
         with pytest.raises(MultipleRootsError):
             parse_parent_array("-1 -1 0")
+        with pytest.raises(MultipleRootsError):
+            Tree.from_parents([-1, -1, 0])
 
 
 class TestParensParsing:
@@ -170,6 +187,15 @@ class TestLevelAncestorIndex:
             idx.query(1, 2)
         with pytest.raises(DepthOutOfRangeError):
             idx.query(1, -1)
+
+    def test_index_does_not_keep_its_tree(self):
+        tree = parse_parent_array("6\n-1 0 0 1 1 2")
+        ref = weakref.ref(tree)
+        idx = LevelAncestorIndex(tree)
+        del tree
+        gc.collect()
+        assert ref() is None
+        assert idx.query(5, 1) == 2
 
     def test_bad_kappa_propagates(self):
         with pytest.raises(InvalidKappaError):
