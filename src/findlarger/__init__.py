@@ -17,9 +17,7 @@ from .core import (
     SpaceReport,
     ValueOutOfRangeError,
     compute_valleys,
-    floor_pow2,
     fs_query,
-    largest_pow2_dividing,
     validate_sequence,
 )
 from .doubling import DoublingFL
@@ -67,9 +65,7 @@ __all__ = [
     "ValueOutOfRangeError",
     "compute_valleys",
     "euler_tour",
-    "floor_pow2",
     "fs_query",
-    "largest_pow2_dividing",
     "parse_balanced_parens",
     "parse_parent_array",
     "validate_sequence",

@@ -125,13 +125,13 @@ def cmd_inspect(args) -> int:
     row("Valley", valley)
     row("Weight", weight)
     row("Jump", s.jump)
-    row("LadderStart", s.ladder_start)
-    row("LadderHeight", s.ladder_height)
-    for x in range(s.n):
-        h = s.ladder_height[x]
+    starts = s.ladder_start
+    heights = [starts[x + 1] - starts[x] for x in range(s.n)]
+    row("LadderStart", starts[: s.n])
+    row("LadderHeight", heights)
+    for x, h in enumerate(heights):
         if h:
-            st = s.ladder_start[x]
-            row(f"Ladder[{x}]", s.ladder_data[st : st + h])
+            row(f"Ladder[{x}]", s.ladder_data[starts[x] : starts[x + 1]])
     print(f"total_ladder_entries: {report.total_ladder_entries}")
     print(f"interior_ladder_entries: {report.interior_ladder_entries}")
     print(f"interior_bound: {report.interior_bound}")

@@ -28,8 +28,6 @@ __all__ = [
     "OneLevelFL",
     "validate_sequence",
     "compute_valleys",
-    "floor_pow2",
-    "largest_pow2_dividing",
     "fs_query",
 ]
 
@@ -99,18 +97,6 @@ def validate_sequence(values: Iterable[int]) -> DiffSequence:
             raise NotOneDifferenceError(i)
         prev = cur
     return DiffSequence(data)
-
-
-def floor_pow2(x: int) -> int:
-    """Largest power of two that is <= x.  Requires x >= 1."""
-    assert x > 0, "floor_pow2 is undefined for x <= 0"
-    return 1 << (x.bit_length() - 1)
-
-
-def largest_pow2_dividing(x: int) -> int:
-    """Largest power of two that divides x.  Requires x >= 1."""
-    assert x > 0, "largest_pow2_dividing is undefined for x <= 0"
-    return x & -x
 
 
 def _sweep_valleys(values: Sequence[int], n: int) -> tuple[array, int, int]:
@@ -208,7 +194,8 @@ class SpaceReport:
     ``interior_ladder_entries`` excludes the two endpoint ladders, which
     are allowed to reach full height; the remaining ladders obey
     ``interior_ladder_entries <= (kappa - 1 + kappa_prime) * n``.
-    ``words`` counts every stored 64-bit word including the input copy.
+    ``words`` counts every stored 64-bit word: the input copy, the jump
+    table, the n + 1 ladder offsets and the ladder entries.
     """
 
     n: int
@@ -230,6 +217,11 @@ class OneLevelFL:
     sends any query too tall for its own ladder to a ladder tall enough
     to hold it.  ``query`` then answers in O(1).
 
+    All ladders share one array, ``ladder_data``; ladder x spans
+    ``ladder_data[ladder_start[x]:ladder_start[x + 1]]``, so
+    ``ladder_start`` has n + 1 entries and its last is
+    ``len(ladder_data)``.
+
     The structure is immutable after construction and safe to share
     between threads.
 
@@ -246,7 +238,6 @@ class OneLevelFL:
     """
 
     __slots__ = (
-        "seq",
         "n",
         "kappa",
         "kappa_prime",
@@ -255,7 +246,6 @@ class OneLevelFL:
         "bottom",
         "jump",
         "ladder_start",
-        "ladder_height",
         "ladder_data",
         "build_stats",
         "_values",
@@ -278,25 +268,23 @@ class OneLevelFL:
         # kappa_prime = ceil((2*kappa + 2) / (kappa - 2))
         kappa_prime = -((2 * kappa + 2) // (2 - kappa))
 
-        # ladder heights: endpoints reach the top, interior ladders grow
-        # with the weight of their valley but never past the top
-        heights = array("q", bytes(8 * n))
+        # ladder offsets, summed from the heights: endpoints reach the top,
+        # interior ladders grow with the weight of their valley but never
+        # past the top
+        starts = array("q", bytes(8 * (n + 1)))
         km1 = kappa - 1
-        heights[0] = y_max - data[0]
-        if n > 1:
-            heights[n - 1] = y_max - data[n - 1]
+        total = y_max - data[0]
         for x in range(1, n - 1):
+            starts[x] = total
             h = kappa_prime * (weight[x] - 1) - 2
             if h < km1:
                 h = km1
             cap = y_max - data[x]
-            heights[x] = h if h < cap else cap
-
-        starts = array("q", bytes(8 * n))
-        total = 0
-        for x in range(n):
-            starts[x] = total
-            total += heights[x]
+            total += h if h < cap else cap
+        if n > 1:
+            starts[n - 1] = total
+            total += y_max - data[n - 1]
+        starts[n] = total
         ladder_data = array("q", bytes(8 * total))
         jump = array("q", bytes(8 * n))
 
@@ -310,9 +298,9 @@ class OneLevelFL:
         for x in range(n - 1, -1, -1):
             i = data[x] + off
             next_at[i] = x
-            h = heights[x]
+            st = starts[x]
+            h = starts[x + 1] - st
             if h:
-                st = starts[x]
                 ladder_data[st : st + h] = next_at[i + 1 : i + 1 + h]
                 copies += h
             if x:
@@ -321,7 +309,6 @@ class OneLevelFL:
                     t = size - 1
                 jump[x] = valley[next_at[t]]
 
-        self.seq = seq
         self._values = data
         self.n = n
         self.kappa = kappa
@@ -331,7 +318,6 @@ class OneLevelFL:
         self.bottom = n
         self.jump = jump
         self.ladder_start = starts
-        self.ladder_height = heights
         self.ladder_data = ladder_data
         self.build_stats = BuildStats(pushes, pops, n, copies)
 
@@ -355,10 +341,10 @@ class OneLevelFL:
             # own ladder is tall enough: heights are at least
             # min(kappa - 1, y_max - values[x]) everywhere
             if __debug__:
-                assert t <= self.ladder_height[x]
+                assert t <= self.ladder_start[x + 1] - self.ladder_start[x]
             return self.ladder_data[self.ladder_start[x] + t - 1]
-        # align x down to a multiple of p = floor_pow2(t // kappa), avoiding
-        # positions whose power-of-two weight exceeds p
+        # align x down to a multiple of p, the largest power of two at most
+        # t // kappa, avoiding positions whose power-of-two weight exceeds p
         p = t // self.kappa
         p = 1 << (p.bit_length() - 1)
         xh = x - x % p
@@ -367,7 +353,7 @@ class OneLevelFL:
         base = self.jump[xh]
         yb = values[base]
         if __debug__:
-            assert yb < y <= yb + self.ladder_height[base]
+            assert yb < y <= yb + self.ladder_start[base + 1] - self.ladder_start[base]
         return self.ladder_data[self.ladder_start[base] + (y - yb - 1)]
 
     def find_larger(self, x: int, y: int) -> int | None:
@@ -378,11 +364,12 @@ class OneLevelFL:
     def space_report(self) -> SpaceReport:
         """Exact entry counts against the linear-space bound."""
         n = self.n
-        heights = self.ladder_height
+        starts = self.ladder_start
         total = len(self.ladder_data)
-        interior = total - heights[0] - (heights[n - 1] if n > 1 else 0)
-        # values + jump + ladder_start + ladder_height + ladder data
-        words = 4 * n + total
+        # all but the endpoint ladders 0 and n - 1
+        interior = starts[n - 1] - starts[1] if n > 1 else 0
+        # values + jump + ladder_start (n + 1) + ladder data
+        words = 3 * n + 1 + total
         return SpaceReport(
             n=n,
             kappa=self.kappa,

@@ -22,7 +22,7 @@ __all__ = ["DoublingFL"]
 class DoublingFL:
     """Find-larger index with one table row per power-of-two rise."""
 
-    __slots__ = ("seq", "n", "levels", "y_min", "y_max", "bottom", "table", "_values")
+    __slots__ = ("n", "levels", "y_min", "y_max", "bottom", "table", "_values")
 
     def __init__(self, values: Iterable[int] | DiffSequence):
         seq = values if isinstance(values, DiffSequence) else validate_sequence(values)
@@ -52,7 +52,6 @@ class DoublingFL:
             prev = table[k - 1, :n]
             table[k, :n] = table[k - 1][prev]
 
-        self.seq = seq
         self._values = data
         self.n = n
         self.levels = levels

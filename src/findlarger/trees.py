@@ -252,22 +252,25 @@ class LevelAncestorIndex:
     query(v, d) as the node at the first tour position >= first_pos[v]
     with depth <= d; since depths leave v's subtree only through depth
     depth(v) - 1, depth(v) - 2, ..., the first such stop has depth
-    exactly d and holds the ancestor.  The tree itself is not kept.
+    exactly d and holds the ancestor.  It keeps only what ``query``
+    reads: ``first_pos``, ``depth`` and ``nodes`` from the tour, and a
+    find-smaller index over the negated tour depths.  Neither the tree
+    nor the tour object is kept.
     """
 
-    __slots__ = ("tour", "first_pos", "depth", "nodes", "kappa", "_fs")
+    __slots__ = ("first_pos", "depth", "nodes", "kappa", "_fs")
 
     def __init__(self, tree: Tree, kappa: int = 5):
-        self.tour = tour = euler_tour(tree)
+        tour = euler_tour(tree)
         self.first_pos = tour.first_pos
         self.depth = tour.depth
         self.nodes = tour.nodes
         self.kappa = kappa
-        # a tour's depths step by exactly one, so their negation needs no validation
-        negated = tour.depths[:]
-        view = np.frombuffer(negated, dtype=np.int64)
+        # the tour is local, so its depths are negated in place; they step
+        # by exactly one, so their negation needs no validation
+        view = np.frombuffer(tour.depths, dtype=np.int64)
         np.negative(view, out=view)
-        self._fs = OneLevelFL(DiffSequence(negated), kappa)
+        self._fs = OneLevelFL(DiffSequence(tour.depths), kappa)
 
     def query(self, v: int, d: int) -> int:
         """Ancestor of v at depth d (root has depth 0).  O(1).

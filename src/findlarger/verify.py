@@ -93,7 +93,7 @@ def check_tree(
         index = LevelAncestorIndex(tree, kappa)
     else:
         kappa = index.kappa
-    depth = index.tour.depth
+    depth = index.depth
     n = tree.n_nodes
     mismatches: list[dict] = []
     total = 0

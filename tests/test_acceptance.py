@@ -189,7 +189,7 @@ def test_criterion_6_la_correctness():
         parent = random_parent_array(n, seed=6000 + t, path_bias=path_bias, max_degree=max_degree)
         tree = parse_parent_array(" ".join(map(str, parent)))
         index = LevelAncestorIndex(tree, kappa)
-        depth = index.tour.depth
+        depth = index.depth
         for v in range(n):
             dv = depth[v]
             for d in range(dv + 1):

@@ -6,22 +6,28 @@ from hypothesis import strategies as st
 
 from findlarger import (
     DiffSequence,
+    DoublingFL,
     EmptySequenceError,
     InvalidKappaError,
     NotOneDifferenceError,
     OneLevelFL,
     ValueOutOfRangeError,
-    floor_pow2,
     fs_query,
-    largest_pow2_dividing,
     validate_sequence,
 )
+from findlarger.bench import ScanFL
 from findlarger.oracle import naive_fl, naive_fs
 
 from conftest import full_grid, one_diff_lists
 
 # worked example exercised throughout: two dips, two peaks
 EXAMPLE = [1, 0, 1, 2, 1, 2]
+
+
+def heights(s):
+    """Ladder heights of a built structure, from its adjacent offsets."""
+    starts = s.ladder_start
+    return [starts[x + 1] - starts[x] for x in range(s.n)]
 
 
 class TestValidateSequence:
@@ -58,6 +64,8 @@ class TestValidateSequence:
             (validate_sequence, [2**63, 2**63 - 1], 0),
             (OneLevelFL, [-v for v in [-(2**63), -(2**63) + 1]], 0),
             (validate_sequence, iter([1, 2, -(2**63) - 1]), 2),
+            (DoublingFL, [2**63 - 1, 2**63], 1),
+            (ScanFL, [5, 4, -(2**63) - 1], 2),
         ):
             with pytest.raises(ValueOutOfRangeError) as e:
                 build(values)
@@ -68,45 +76,19 @@ class TestValidateSequence:
 
 
 class TestPow2Helpers:
-    def test_floor_pow2_table(self):
-        assert [floor_pow2(x) for x in (1, 2, 3, 4, 5, 7, 8, 9, 1023, 1024)] == [
-            1, 2, 2, 4, 4, 4, 8, 8, 512, 1024,
-        ]
-
-    def test_largest_pow2_dividing_table(self):
-        assert [largest_pow2_dividing(x) for x in (1, 2, 3, 4, 6, 8, 12, 40, 96)] == [
-            1, 2, 1, 4, 2, 8, 4, 8, 32,
-        ]
-
-    def test_nonpositive_rejected_in_debug(self):
-        with pytest.raises(AssertionError):
-            floor_pow2(0)
-        with pytest.raises(AssertionError):
-            largest_pow2_dividing(0)
-
-    @given(st.integers(1, 10**15))
-    def test_floor_pow2_bracket(self, x):
-        p = floor_pow2(x)
-        assert p <= x < 2 * p and p & (p - 1) == 0
-
-    @given(st.integers(1, 10**15))
-    def test_largest_pow2_divides_to_odd(self, x):
-        p = largest_pow2_dividing(x)
-        assert x % p == 0 and (x // p) % 2 == 1
-
     @given(st.integers(0, 10**9), st.integers(3, 16), st.integers(3, 10**6))
     def test_query_alignment_arithmetic(self, x, kappa, t):
         # the tall-query branch realigns x to xh; these ranges make the
         # redirected ladder provably tall enough
         if t < kappa:
             t += kappa
-        p = floor_pow2(t // kappa)
+        p = 1 << ((t // kappa).bit_length() - 1)
         xh = x - x % p
         if xh > 0 and xh % (2 * p) == 0:
             xh -= p
         assert kappa * p <= t <= 2 * kappa * p - 1
         assert 0 <= x - xh <= 2 * p - 1
-        assert xh == 0 or largest_pow2_dividing(xh) == p
+        assert xh == 0 or xh & -xh == p
 
 
 class TestKappa:
@@ -132,16 +114,17 @@ class TestBuildExample:
         assert s.n == 6 and s.bottom == 6
         assert (s.y_min, s.y_max) == (0, 2)
         assert list(s.jump) == [0, 5, 5, 5, 5, 5]
-        assert list(s.ladder_height) == [1, 2, 1, 0, 1, 0]
-        assert list(s.ladder_start) == [0, 1, 3, 4, 4, 5]
+        assert list(s.ladder_start) == [0, 1, 3, 4, 4, 5, 5]
+        # ladder x spans ladder_start[x] .. ladder_start[x + 1]
+        assert heights(s) == [1, 2, 1, 0, 1, 0]
         # entries are full find-larger answers: L_0 = [3], L_1 = [2, 3], ...
         assert list(s.ladder_data) == [3, 2, 3, 3, 5]
 
     def test_every_ladder_entry_matches_the_oracle(self):
         for kappa in (3, 4, 5, 6):
             s = OneLevelFL(EXAMPLE, kappa)
-            for x in range(s.n):
-                st_, h = s.ladder_start[x], s.ladder_height[x]
+            for x, h in enumerate(heights(s)):
+                st_ = s.ladder_start[x]
                 for j in range(h):
                     assert s.ladder_data[st_ + j] == naive_fl(EXAMPLE, x, EXAMPLE[x] + 1 + j)
 
@@ -152,8 +135,8 @@ class TestBuildExample:
 
     def test_endpoint_ladders_reach_the_top(self):
         s = OneLevelFL(EXAMPLE, 5)
-        assert s.ladder_height[0] == s.y_max - EXAMPLE[0]
-        assert s.ladder_height[5] == s.y_max - EXAMPLE[5]
+        assert heights(s)[0] == s.y_max - EXAMPLE[0]
+        assert heights(s)[5] == s.y_max - EXAMPLE[5]
 
 
 class TestQuery:
@@ -234,7 +217,7 @@ class TestSpaceAndStats:
         assert r.total_ladder_entries == 5
         assert r.interior_ladder_entries == 4
         assert r.interior_bound == 48
-        assert r.words == 4 * 6 + 5
+        assert r.words == 3 * 6 + 1 + 5
 
     @settings(max_examples=150, deadline=None)
     @given(one_diff_lists(max_n=80), st.integers(3, 7))

@@ -206,7 +206,7 @@ class TestLevelAncestorIndex:
             tree = tree_from(parent)
             idx = LevelAncestorIndex(tree)
             for v in range(tree.n_nodes):
-                for d in range(idx.tour.depth[v] + 1):
+                for d in range(idx.depth[v] + 1):
                     assert idx.query(v, d) == naive_la(tree, v, d)
 
     @settings(max_examples=80, deadline=None)
@@ -214,7 +214,7 @@ class TestLevelAncestorIndex:
     def test_random_trees_all_pairs(self, n, seed, path_bias, kappa):
         tree = tree_from(random_parent_array(n, seed, path_bias))
         idx = LevelAncestorIndex(tree, kappa)
-        depth = idx.tour.depth
+        depth = idx.depth
         for v in range(n):
             for d in range(depth[v] + 1):
                 a = idx.query(v, d)

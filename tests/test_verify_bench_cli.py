@@ -59,12 +59,12 @@ class TestCheckTree:
         report = check_tree(self.TREE)
         assert report["pass"] is True
         assert report["total_queries"] == sum(
-            d + 1 for d in LevelAncestorIndex(self.TREE).tour.depth
+            d + 1 for d in LevelAncestorIndex(self.TREE).depth
         )
 
     def test_corrupted_tour_is_caught(self):
         idx = LevelAncestorIndex(self.TREE)
-        idx.tour.nodes[0] = 5  # position 0 really holds the root
+        idx.nodes[0] = 5  # position 0 really holds the root
         report = check_tree(self.TREE, index=idx)
         assert report["pass"] is False
         m = report["mismatches"][0]
