@@ -9,7 +9,6 @@ the brute-force references everything is verified against.
 
 from .core import (
     BuildStats,
-    DiffSequence,
     EmptySequenceError,
     InvalidKappaError,
     NotOneDifferenceError,
@@ -45,7 +44,6 @@ __all__ = [
     "BuildStats",
     "CycleError",
     "DepthOutOfRangeError",
-    "DiffSequence",
     "DoublingFL",
     "EmptySequenceError",
     "EmptyTreeError",

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DiffSequence, OneLevelFL, validate_sequence
+from .core import OneLevelFL, validate_sequence
 from .doubling import DoublingFL
 
 __all__ = [
@@ -59,15 +59,15 @@ class BenchRecord:
 class ScanFL:
     """No preprocessing, O(n) per query: the honest lower bar.
 
-    The scan is vectorised so that cross-checks against the other
-    structures stay feasible at large n.
+    The scan is vectorised over the int64 ndarray that
+    :func:`~findlarger.core.validate_sequence` returns, so that
+    cross-checks against the other structures stay feasible at large n.
     """
 
     __slots__ = ("n", "y_max", "bottom", "_vals")
 
-    def __init__(self, values: Iterable[int] | DiffSequence):
-        seq = values if isinstance(values, DiffSequence) else validate_sequence(values)
-        self._vals = np.frombuffer(seq.values, dtype=np.int64)
+    def __init__(self, values: Iterable[int]):
+        self._vals = validate_sequence(values)
         self.n = len(self._vals)
         self.y_max = int(self._vals.max())
         self.bottom = self.n
@@ -94,21 +94,22 @@ def make_queries(
 ) -> tuple[list[int], list[int]]:
     """Seeded nontrivial queries: x with room above it, y in (values[x], y_max]."""
     rng = random.Random(seed)
-    y_max = max(values)
-    pool = [x for x in range(len(values)) if values[x] < y_max]
-    if not pool:  # constant sequence: every query is trivial anyway
-        pool = list(range(len(values)))
+    values = np.asarray(values)
+    y_max = int(values.max())
+    pool = np.flatnonzero(values < y_max)
+    if not len(pool):  # constant sequence: every query is trivial anyway
+        pool = np.arange(len(values))
     xs = [0] * count
     ys = [0] * count
     for i in range(count):
-        x = pool[rng.randrange(len(pool))]
-        lo = values[x]
+        x = int(pool[rng.randrange(len(pool))])
+        lo = int(values[x])
         xs[i] = x
         ys[i] = rng.randint(lo + 1, y_max) if lo < y_max else lo
     return xs, ys
 
 
-def build_structure(name: str, seq: DiffSequence, kappa: int):
+def build_structure(name: str, seq: np.ndarray, kappa: int):
     if name == "onelevel":
         return OneLevelFL(seq, kappa)
     if name == "doubling":
@@ -137,7 +138,7 @@ def _time_queries(structure, xs, ys, batch: int) -> tuple[float, float]:
 
 
 def run_bench(
-    values: Iterable[int] | DiffSequence,
+    values: Iterable[int],
     structures: Sequence[str] = ("onelevel", "doubling"),
     kappa: int = 5,
     queries: int = 100_000,
@@ -150,8 +151,8 @@ def run_bench(
     Returns the records plus any answer disagreements on the first
     ``agreement_count`` queries (empty list = all structures agree).
     """
-    seq = values if isinstance(values, DiffSequence) else validate_sequence(values)
-    xs, ys = make_queries(seq.values, queries, seed)
+    seq = validate_sequence(values)
+    xs, ys = make_queries(seq, queries, seed)
     k = min(agreement_count, queries)
     records = []
     reference: list[int] | None = None

@@ -11,6 +11,8 @@ import json
 import sys
 from contextlib import nullcontext
 
+import numpy as np
+
 from .bench import CSV_HEADER, STRUCTURE_NAMES, run_bench
 from .core import OneLevelFL, compute_valleys, validate_sequence
 from .formats import FORMATS, read_sequence, read_tree, write_parens, write_parent_array, write_sequence
@@ -106,10 +108,8 @@ def cmd_inspect(args) -> int:
         raise ValueError(f"refusing to dump n={len(values)} > {INSPECT_LIMIT} positions")
     seq = validate_sequence(values)
     s = OneLevelFL(seq, args.kappa)
-    valley = compute_valleys(seq.values)
-    weight = [0] * s.n
-    for x in range(s.n):
-        weight[valley[x]] += 1
+    valley = compute_valleys(values)
+    weight = np.bincount(valley[: s.n], minlength=s.n)
     report = s.space_report()
 
     def row(label, items):
@@ -121,7 +121,7 @@ def cmd_inspect(args) -> int:
     print(f"y_min: {s.y_min}")
     print(f"y_max: {s.y_max}")
     print(f"bottom: {s.bottom}")
-    row("Values", seq.values)
+    row("Values", seq)
     row("Valley", valley)
     row("Weight", weight)
     row("Jump", s.jump)

@@ -17,12 +17,13 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = [
     "EmptySequenceError",
     "NotOneDifferenceError",
     "ValueOutOfRangeError",
     "InvalidKappaError",
-    "DiffSequence",
     "BuildStats",
     "SpaceReport",
     "OneLevelFL",
@@ -58,48 +59,42 @@ class InvalidKappaError(ValueError):
     """Raised when the ladder parameter kappa is below 3."""
 
 
-@dataclass(frozen=True)
-class DiffSequence:
-    """A validated 1-difference sequence held as a signed 64-bit array."""
+def validate_sequence(values: Iterable[int]) -> np.ndarray:
+    """Check the 1-difference property and return the values as a 1-D int64 array.
 
-    values: array
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
-
-
-def validate_sequence(values: Iterable[int]) -> DiffSequence:
-    """Check the 1-difference property and wrap the values.
+    A 1-D int64 ndarray is checked and returned as it is, without a copy,
+    so a structure built from it reads the caller's array; any other input
+    is converted from its integers.
 
     Raises:
         EmptySequenceError: no elements.
         NotOneDifferenceError: some adjacent pair differs by more than one.
         ValueOutOfRangeError: a value does not fit in a signed 64-bit word.
+        TypeError: a value is not an integer.
     """
-    if isinstance(values, DiffSequence):
-        data = values.values
+    if isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1:
+        data = values
     else:
         values = values if isinstance(values, Sequence) else list(values)  # to re-read on failure
         try:
-            data = array("q", values)
+            # array('q') takes integers only, where numpy would truncate 1.5 and parse "3"
+            data = np.array(array("q", values))
         except OverflowError:
             index = next(i for i, v in enumerate(values) if not -(2**63) <= v < 2**63)
             raise ValueOutOfRangeError(index) from None
-    if not data:
+    if not len(data):
         raise EmptySequenceError("sequence must contain at least one value")
-    prev = data[0]
-    for i in range(1, len(data)):
-        cur = data[i]
-        if cur - prev > 1 or prev - cur > 1:
-            raise NotOneDifferenceError(i)
-        prev = cur
-    return DiffSequence(data)
+    lo, hi = data[:-1], data[1:]
+    step = hi - lo
+    # the step wraps at the int64 limits, but only where the signs differ,
+    # and a step of at most one changes sign only between -1 and 0
+    bad = (step > 1) | (step < -1) | (((lo < 0) != (hi < 0)) & (lo != -1) & (hi != -1))
+    if np.count_nonzero(bad):
+        raise NotOneDifferenceError(int(bad.argmax()) + 1)
+    return data
 
 
-def _sweep_valleys(values: Sequence[int], n: int) -> tuple[array, int, int]:
+def _sweep_valleys(values: Sequence[int], n: int) -> tuple[np.ndarray, int, int]:
     """One left-to-right pass computing the valley of every point (x, values[x]).
 
     The valley of (x, y) is the rightmost among the lowest points reachable
@@ -116,7 +111,7 @@ def _sweep_valleys(values: Sequence[int], n: int) -> tuple[array, int, int]:
     fx = [0] * (n + 1)
     flow = [float("-inf")] * (n + 1)
     fhigh = [float("inf")] * (n + 1)
-    valley = array("q", bytes(8 * (n + 1)))
+    valley = memoryview(np.empty(n + 1, dtype=np.int64))  # every entry is written below
     top = 0
     pushes = 0
     pops = 0
@@ -153,13 +148,13 @@ def _sweep_valleys(values: Sequence[int], n: int) -> tuple[array, int, int]:
                 pops += 1
         top = t
     valley[n] = n - 1
-    return valley, pushes, pops
+    return valley.obj, pushes, pops
 
 
-def compute_valleys(values: Sequence[int]) -> array:
+def compute_valleys(values: Sequence[int]) -> np.ndarray:
     """Valley index for every position, plus the closing entry.
 
-    Returns an ``array('q')`` of length ``len(values) + 1`` where entry x
+    Returns an int64 ndarray of length ``len(values) + 1`` where entry x
     is the valley of (x, values[x]) and the final entry is n - 1.  Accepts
     any integer sequence and runs in O(n).
 
@@ -177,13 +172,13 @@ def compute_valleys(values: Sequence[int]) -> array:
 class BuildStats:
     """Operation counters recorded during a build.
 
-    Every counter is bounded by n (copies by the ladder-size bound), which
-    is what makes the build linear.
+    The stack counters are bounded by n, which is what makes the valley
+    sweep linear; ``ladder_copies`` is the number of ladder entries
+    written, bounded by the ladder-size bound.
     """
 
     stack_pushes: int
     stack_pops: int
-    next_writes: int
     ladder_copies: int
 
 
@@ -220,14 +215,16 @@ class OneLevelFL:
     All ladders share one array, ``ladder_data``; ladder x spans
     ``ladder_data[ladder_start[x]:ladder_start[x + 1]]``, so
     ``ladder_start`` has n + 1 entries and its last is
-    ``len(ladder_data)``.
+    ``len(ladder_data)``.  ``jump``, ``ladder_start`` and ``ladder_data``
+    are memoryviews of int64 ndarrays, cheaper to read one entry at a time.
 
     The structure is immutable after construction and safe to share
     between threads.
 
     Args:
-        values: the sequence, either raw integers or an already validated
-            :class:`DiffSequence`.
+        values: the sequence, as integers or as the int64 ndarray that
+            :func:`validate_sequence` returns; such an array is read in
+            place, not copied, so it must not change afterwards.
         kappa: ladder tuning parameter, at least 3.  Interior ladder
             entries stay within (kappa - 1 + kappa_prime) * n, which is
             minimised (8n) at kappa in {4, 5}.
@@ -251,65 +248,60 @@ class OneLevelFL:
         "_values",
     )
 
-    def __init__(self, values: Iterable[int] | DiffSequence, kappa: int = 5):
+    def __init__(self, values: Iterable[int], kappa: int = 5):
         if kappa < 3:
             raise InvalidKappaError(f"kappa must be at least 3, got {kappa}")
-        seq = values if isinstance(values, DiffSequence) else validate_sequence(values)
-        data = seq.values
+        data = validate_sequence(values)
+        values = memoryview(data)
         n = len(data)
 
-        valley, pushes, pops = _sweep_valleys(data, n)
-        weight = array("q", bytes(8 * n))
-        for x in range(n):
-            weight[valley[x]] += 1
-
-        y_min = min(data)
-        y_max = max(data)
+        valley, pushes, pops = _sweep_valleys(values, n)
+        y_min = int(data.min())
+        y_max = int(data.max())
         # kappa_prime = ceil((2*kappa + 2) / (kappa - 2))
         kappa_prime = -((2 * kappa + 2) // (2 - kappa))
 
-        # ladder offsets, summed from the heights: endpoints reach the top,
-        # interior ladders grow with the weight of their valley but never
-        # past the top
-        starts = array("q", bytes(8 * (n + 1)))
-        km1 = kappa - 1
-        total = y_max - data[0]
-        for x in range(1, n - 1):
-            starts[x] = total
-            h = kappa_prime * (weight[x] - 1) - 2
-            if h < km1:
-                h = km1
-            cap = y_max - data[x]
-            total += h if h < cap else cap
-        if n > 1:
-            starts[n - 1] = total
-            total += y_max - data[n - 1]
-        starts[n] = total
-        ladder_data = array("q", bytes(8 * total))
-        jump = array("q", bytes(8 * n))
+        # ladder offsets, summed from the heights: endpoints reach the top;
+        # interior ladders grow with the weight of their valley, as
+        # kappa_prime * (weight - 1) - 2 but at least kappa - 1, and never
+        # pass the top.  No height exceeds y_max - y_min, so the floor is
+        # cut to it, which keeps any kappa within int64.  The heights are
+        # computed in place: temporary arrays would raise the peak memory.
+        heights = np.bincount(valley[:n], minlength=n)
+        heights *= kappa_prime
+        heights -= kappa_prime + 2
+        np.maximum(heights, min(kappa - 1, y_max - y_min), out=heights)
+        cap = y_max - data
+        np.minimum(heights, cap, out=heights)
+        heights[0], heights[-1] = cap[0], cap[-1]
+        starts = np.zeros(n + 1, dtype=np.int64)
+        heights.cumsum(out=starts[1:])
+        del cap, heights
+        starts = memoryview(starts)
+        ladder_data = memoryview(np.empty(starts[n], dtype=np.int64))
+        jump = memoryview(np.zeros(n, dtype=np.int64))
 
         # next_at[v - y_min] = least position >= current x whose value is v;
         # one extra slot keeps y_max + 1 addressable (always n)
         size = y_max - y_min + 2
-        next_at = array("q", [n]) * size
+        next_at = memoryview(np.full(size, n, dtype=np.int64))
+        valley = memoryview(valley)
         off = -y_min
         step = kappa - 2
-        copies = 0
         for x in range(n - 1, -1, -1):
-            i = data[x] + off
+            i = values[x] + off
             next_at[i] = x
             st = starts[x]
             h = starts[x + 1] - st
             if h:
                 ladder_data[st : st + h] = next_at[i + 1 : i + 1 + h]
-                copies += h
             if x:
                 t = i + step * (x & -x)
                 if t >= size:
                     t = size - 1
                 jump[x] = valley[next_at[t]]
 
-        self._values = data
+        self._values = values
         self.n = n
         self.kappa = kappa
         self.kappa_prime = kappa_prime
@@ -319,7 +311,7 @@ class OneLevelFL:
         self.jump = jump
         self.ladder_start = starts
         self.ladder_data = ladder_data
-        self.build_stats = BuildStats(pushes, pops, n, copies)
+        self.build_stats = BuildStats(pushes, pops, starts[n])
 
     def query(self, x: int, y: int) -> int:
         """Least position i >= x with values[i] >= y, or ``bottom`` (= n).

@@ -9,50 +9,50 @@ property lands exactly 2^k higher, never overshooting.
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterable
 
 import numpy as np
 
-from .core import DiffSequence, validate_sequence
+from .core import validate_sequence
 
 __all__ = ["DoublingFL"]
 
 
 class DoublingFL:
-    """Find-larger index with one table row per power-of-two rise."""
+    """Find-larger index with one table row per power-of-two rise.
+
+    ``table`` is an int64 ndarray of ``levels`` rows of n + 1 entries.
+    """
 
     __slots__ = ("n", "levels", "y_min", "y_max", "bottom", "table", "_values")
 
-    def __init__(self, values: Iterable[int] | DiffSequence):
-        seq = values if isinstance(values, DiffSequence) else validate_sequence(values)
-        data = seq.values
+    def __init__(self, values: Iterable[int]):
+        data = validate_sequence(values)
+        values = memoryview(data)
         n = len(data)
-        vals = np.frombuffer(data, dtype=np.int64)
-        y_min = int(vals.min())
-        y_max = int(vals.max())
+        y_min = int(data.min())
+        y_max = int(data.max())
         spread = y_max - y_min
         # levels cover every gap t in 1..spread: floor(log2 t) <= levels - 1
         levels = max(spread.bit_length(), 1)
 
-        # level 0 by a right-to-left sweep over "next position at value v"
-        size = spread + 2
-        next_at = array("q", [n]) * size
+        # level 0 by a right-to-left sweep over "next position at value v",
+        # written into the table's first row
+        table = np.empty((levels, n + 1), dtype=np.int64)
+        table[:, n] = n  # bottom is absorbing
+        next_at = memoryview(np.full(spread + 2, n, dtype=np.int64))
+        row0 = memoryview(table[0])
         off = -y_min
-        row0 = array("q", bytes(8 * n))
         for x in range(n - 1, -1, -1):
-            i = data[x] + off
+            i = values[x] + off
             next_at[i] = x
             row0[x] = next_at[i + 1]
-        table = np.empty((levels, n + 1), dtype=np.int64)
-        table[0, :n] = np.frombuffer(row0, dtype=np.int64)
-        table[:, n] = n  # bottom is absorbing
         for k in range(1, levels):
             # rising 2^k = rising 2^(k-1) twice; exact landing makes this compose
             prev = table[k - 1, :n]
             table[k, :n] = table[k - 1][prev]
 
-        self._values = data
+        self._values = values
         self.n = n
         self.levels = levels
         self.y_min = y_min

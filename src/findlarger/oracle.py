@@ -11,7 +11,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import DiffSequence, validate_sequence
+import numpy as np
+
+from .core import validate_sequence
 from .trees import DepthOutOfRangeError, Tree
 
 __all__ = [
@@ -102,7 +104,7 @@ def naive_la(tree: Tree, v: int, d: int) -> int:
 
 def enumerate_sequences(
     n: int, start: int = 0, config: OracleConfig = DEFAULT_CONFIG
-) -> Iterator[DiffSequence]:
+) -> Iterator[np.ndarray]:
     """Yield all 3^(n-1) 1-difference sequences of length n starting at start.
 
     Raises:

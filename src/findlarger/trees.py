@@ -8,12 +8,11 @@ after v's first visit whose depth is d.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiffSequence, OneLevelFL
+from .core import OneLevelFL
 
 __all__ = [
     "TreeFormatError",
@@ -195,22 +194,25 @@ class EulerTour:
     first entry and again after each child returns.  ``first_pos[v]`` is
     the earliest stop at v and ``depth[v]`` its distance from the root.
     Adjacent depths differ by exactly one, so ``depths`` is 1-difference.
+    All four are int64 ndarrays.
     """
 
-    nodes: array
-    depths: array
-    first_pos: array
-    depth: array
+    nodes: np.ndarray
+    depths: np.ndarray
+    first_pos: np.ndarray
+    depth: np.ndarray
 
 
 def euler_tour(tree: Tree) -> EulerTour:
     """Iterative DFS tour; children are visited in their stored order."""
     n = tree.n_nodes
     m = 2 * n - 1
-    nodes = array("q", bytes(8 * m))
-    depths = array("q", bytes(8 * m))
-    first_pos = array("q", bytes(8 * n))
-    depth = array("q", bytes(8 * n))
+    nodes = np.zeros(m, dtype=np.int64)
+    depths = np.zeros(m, dtype=np.int64)
+    first_pos = np.zeros(n, dtype=np.int64)
+    depth = np.zeros(n, dtype=np.int64)
+    tour = EulerTour(nodes=nodes, depths=depths, first_pos=first_pos, depth=depth)
+    nodes, depths, first_pos, depth = map(memoryview, (nodes, depths, first_pos, depth))
     children = tree.children
     root = tree.root
     nodes[0] = root
@@ -242,7 +244,7 @@ def euler_tour(tree: Tree) -> EulerTour:
                 depths[pos] = depth[u]
                 pos += 1
     assert pos == m
-    return EulerTour(nodes=nodes, depths=depths, first_pos=first_pos, depth=depth)
+    return tour
 
 
 class LevelAncestorIndex:
@@ -253,24 +255,22 @@ class LevelAncestorIndex:
     with depth <= d; since depths leave v's subtree only through depth
     depth(v) - 1, depth(v) - 2, ..., the first such stop has depth
     exactly d and holds the ancestor.  It keeps only what ``query``
-    reads: ``first_pos``, ``depth`` and ``nodes`` from the tour, and a
-    find-smaller index over the negated tour depths.  Neither the tree
-    nor the tour object is kept.
+    reads: ``first_pos``, ``depth`` and ``nodes`` from the tour, as
+    memoryviews of its arrays, and a find-smaller index over the negated
+    tour depths.  Neither the tree nor the tour object is kept.
     """
 
     __slots__ = ("first_pos", "depth", "nodes", "kappa", "_fs")
 
     def __init__(self, tree: Tree, kappa: int = 5):
         tour = euler_tour(tree)
-        self.first_pos = tour.first_pos
-        self.depth = tour.depth
-        self.nodes = tour.nodes
+        self.first_pos = memoryview(tour.first_pos)
+        self.depth = memoryview(tour.depth)
+        self.nodes = memoryview(tour.nodes)
         self.kappa = kappa
-        # the tour is local, so its depths are negated in place; they step
-        # by exactly one, so their negation needs no validation
-        view = np.frombuffer(tour.depths, dtype=np.int64)
-        np.negative(view, out=view)
-        self._fs = OneLevelFL(DiffSequence(tour.depths), kappa)
+        # the tour is local, so its depths are negated in place
+        np.negative(tour.depths, out=tour.depths)
+        self._fs = OneLevelFL(tour.depths, kappa)
 
     def query(self, v: int, d: int) -> int:
         """Ancestor of v at depth d (root has depth 0).  O(1).

@@ -47,7 +47,8 @@ def check_sequence(
         structure = OneLevelFL(seq, kappa)
     else:
         kappa = structure.kappa
-    xs, ys = _grid(seq.values)
+    values = seq.tolist()  # the oracle scans plain integers
+    xs, ys = _grid(values)
     mismatches: list[dict] = []
     total = 0
     if mode == "exhaustive":
@@ -61,7 +62,7 @@ def check_sequence(
     for x, y in pairs:
         total += 1
         got = structure.query(x, y)
-        want = naive_fl(seq.values, x, y)
+        want = naive_fl(values, x, y)
         if got != want:
             bad += 1
             if len(mismatches) < MISMATCH_LIMIT:

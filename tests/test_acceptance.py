@@ -55,10 +55,10 @@ def test_criterion_1_exhaustive_fl_oracle_equivalence():
     for n in range(1, 13):
         for seq in enumerate_sequences(n, 0):
             sequences += 1
-            checked, failure = _grid_agreement(seq.values)
+            checked, failure = _grid_agreement(seq)
             total += checked
             assert failure is None, (
-                f"mismatch on {list(seq.values)}: kappa={failure[0]} "
+                f"mismatch on {seq.tolist()}: kappa={failure[0]} "
                 f"x={failure[1]} y={failure[2]} expected {failure[3]} got {failure[4]}"
             )
     _report(

@@ -1,11 +1,11 @@
 """Unit tests for the one-level find-larger structure."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from findlarger import (
-    DiffSequence,
     DoublingFL,
     EmptySequenceError,
     InvalidKappaError,
@@ -33,14 +33,36 @@ def heights(s):
 class TestValidateSequence:
     def test_wraps_values(self):
         seq = validate_sequence(EXAMPLE)
-        assert isinstance(seq, DiffSequence)
-        assert list(seq.values) == EXAMPLE
+        assert isinstance(seq, np.ndarray) and seq.dtype == np.int64 and seq.ndim == 1
+        assert seq.tolist() == EXAMPLE
         assert len(seq) == 6
         assert seq[3] == 2
 
     def test_passthrough_when_already_validated(self):
         seq = validate_sequence(EXAMPLE)
-        assert validate_sequence(seq).values is seq.values
+        assert validate_sequence(seq) is seq
+
+    def test_int64_array_is_kept_and_builds_like_its_list(self):
+        arr = np.array(EXAMPLE, dtype=np.int64)
+        assert validate_sequence(arr) is arr
+        xs, ys = full_grid(EXAMPLE)
+        for build in (OneLevelFL, DoublingFL, ScanFL):
+            from_list, from_array = build(EXAMPLE), build(arr)
+            for x in xs:
+                for y in ys:
+                    assert from_array.query(x, y) == from_list.query(x, y)
+
+    def test_steps_that_wrap_int64_are_rejected(self):
+        # numpy computes the steps as -1 and 1 (both wrapped) and -2**63
+        for values in ([-(2**63), 2**63 - 1], [2**63 - 1, -(2**63)], [0, -(2**63)]):
+            with pytest.raises(NotOneDifferenceError) as e:
+                validate_sequence(values)
+            assert e.value.index == 1
+
+    def test_non_integers_rejected(self):
+        for values in ([0, 1.5], ["0", "1"], np.array([0.0, 1.0])):
+            with pytest.raises(TypeError):
+                validate_sequence(values)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySequenceError):
@@ -72,7 +94,7 @@ class TestValidateSequence:
             assert e.value.index == index
 
     def test_single_element_is_fine(self):
-        assert list(validate_sequence([41]).values) == [41]
+        assert validate_sequence([41]).tolist() == [41]
 
 
 class TestPow2Helpers:
@@ -234,7 +256,6 @@ class TestSpaceAndStats:
         s = OneLevelFL(values, kappa)
         st_ = s.build_stats
         assert 0 <= st_.stack_pops <= st_.stack_pushes <= s.n
-        assert st_.next_writes == s.n
         assert st_.ladder_copies == len(s.ladder_data)
 
     def test_resident_bytes_are_words_times_8(self):

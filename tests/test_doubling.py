@@ -37,10 +37,10 @@ def test_exhaustive_small():
     for n in range(1, 8):
         for seq in enumerate_sequences(n, 0):
             d = DoublingFL(seq)
-            xs, ys = full_grid(seq.values)
+            xs, ys = full_grid(seq)
             for x in xs:
                 for y in ys:
-                    assert d.query(x, y) == naive_fl(seq.values, x, y)
+                    assert d.query(x, y) == naive_fl(seq, x, y)
 
 
 @settings(max_examples=200, deadline=None)

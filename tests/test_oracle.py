@@ -1,8 +1,9 @@
 """The oracles themselves: frozen answers and enumeration counts."""
 
+import numpy as np
 import pytest
 
-from findlarger import DiffSequence, parse_parent_array
+from findlarger import parse_parent_array
 from findlarger.oracle import (
     OracleConfig,
     TooLargeError,
@@ -72,9 +73,9 @@ def test_enumerate_counts_and_contents():
     for n, count in ((1, 1), (2, 3), (3, 9), (4, 27)):
         seqs = list(enumerate_sequences(n, 0))
         assert len(seqs) == count
-        assert len(set(tuple(s.values) for s in seqs)) == count
+        assert len(set(tuple(s) for s in seqs)) == count
         for s in seqs:
-            assert isinstance(s, DiffSequence)
+            assert isinstance(s, np.ndarray) and s.dtype == np.int64
             assert s[0] == 0 and len(s) == n
 
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from findlarger import LevelAncestorIndex, OneLevelFL, parse_parent_array
+from findlarger import LevelAncestorIndex, OneLevelFL, parse_parent_array, validate_sequence
 from findlarger.bench import CSV_HEADER, BenchRecord, ScanFL, make_queries, run_bench
 from findlarger.cli import main
 from findlarger.gen import random_walk_values
@@ -81,6 +81,8 @@ class TestBench:
     def test_make_queries_nontrivial_and_deterministic(self):
         xs, ys = make_queries(WALK, 500, seed=3)
         assert (xs, ys) == make_queries(WALK, 500, seed=3)
+        assert (xs, ys) == make_queries(validate_sequence(WALK), 500, seed=3)
+        assert all(type(v) is int for v in xs + ys)
         assert len(xs) == 500
         for x, y in zip(xs, ys):
             assert WALK[x] < y <= max(WALK)
