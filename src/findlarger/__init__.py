@@ -11,6 +11,7 @@ from .core import (
     BuildStats,
     EmptySequenceError,
     InvalidKappaError,
+    NotAnIntegerError,
     NotOneDifferenceError,
     OneLevelFL,
     SpaceReport,
@@ -53,6 +54,7 @@ __all__ = [
     "MalformedTreeError",
     "MultipleRootsError",
     "NoRootError",
+    "NotAnIntegerError",
     "NotOneDifferenceError",
     "OneLevelFL",
     "SpaceReport",

@@ -23,6 +23,7 @@ __all__ = [
     "EmptySequenceError",
     "NotOneDifferenceError",
     "ValueOutOfRangeError",
+    "NotAnIntegerError",
     "InvalidKappaError",
     "BuildStats",
     "SpaceReport",
@@ -55,8 +56,44 @@ class ValueOutOfRangeError(OverflowError, ValueError):
         super().__init__(f"value at position {index} lies outside the signed 64-bit range")
 
 
+class NotAnIntegerError(TypeError):
+    """Raised when a value is not an integer (a float, a string, ...)."""
+
+    def __init__(self, index: int, value: object):
+        self.index = index
+        super().__init__(f"value at position {index} is not an integer: {value!r}")
+
+
 class InvalidKappaError(ValueError):
     """Raised when the ladder parameter kappa is below 3."""
+
+
+def int64_array(values: Iterable[int]) -> np.ndarray:
+    """The integers in ``values`` as a 1-D int64 array.
+
+    A 1-D int64 ndarray is returned as it is, without a copy; any other
+    input is converted from its integers.
+
+    Raises:
+        ValueOutOfRangeError: a value does not fit in a signed 64-bit word.
+        NotAnIntegerError: a value is not an integer.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1:
+        return values
+    values = values if isinstance(values, Sequence) else list(values)  # to re-read on failure
+    try:
+        # array('q') takes integers only, where numpy would truncate 1.5 and parse "3"
+        return np.array(array("q", values))
+    except (OverflowError, TypeError):
+        probe = array("q", [0])
+        for i, v in enumerate(values):
+            try:
+                probe[0] = v
+            except OverflowError:
+                raise ValueOutOfRangeError(i) from None
+            except TypeError:
+                raise NotAnIntegerError(i, v) from None
+        raise
 
 
 def validate_sequence(values: Iterable[int]) -> np.ndarray:
@@ -64,24 +101,15 @@ def validate_sequence(values: Iterable[int]) -> np.ndarray:
 
     A 1-D int64 ndarray is checked and returned as it is, without a copy,
     so a structure built from it reads the caller's array; any other input
-    is converted from its integers.
+    is converted from its integers by :func:`int64_array`.
 
     Raises:
         EmptySequenceError: no elements.
         NotOneDifferenceError: some adjacent pair differs by more than one.
         ValueOutOfRangeError: a value does not fit in a signed 64-bit word.
-        TypeError: a value is not an integer.
+        NotAnIntegerError: a value is not an integer (a ``TypeError``).
     """
-    if isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1:
-        data = values
-    else:
-        values = values if isinstance(values, Sequence) else list(values)  # to re-read on failure
-        try:
-            # array('q') takes integers only, where numpy would truncate 1.5 and parse "3"
-            data = np.array(array("q", values))
-        except OverflowError:
-            index = next(i for i, v in enumerate(values) if not -(2**63) <= v < 2**63)
-            raise ValueOutOfRangeError(index) from None
+    data = int64_array(values)
     if not len(data):
         raise EmptySequenceError("sequence must contain at least one value")
     lo, hi = data[:-1], data[1:]

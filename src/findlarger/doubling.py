@@ -21,10 +21,11 @@ __all__ = ["DoublingFL"]
 class DoublingFL:
     """Find-larger index with one table row per power-of-two rise.
 
-    ``table`` is an int64 ndarray of ``levels`` rows of n + 1 entries.
+    ``table`` is an int64 ndarray of ``levels`` rows of n + 1 entries;
+    ``query`` reads it through a 2-D memoryview.
     """
 
-    __slots__ = ("n", "levels", "y_min", "y_max", "bottom", "table", "_values")
+    __slots__ = ("n", "levels", "y_min", "y_max", "bottom", "table", "_table", "_values")
 
     def __init__(self, values: Iterable[int]):
         data = validate_sequence(values)
@@ -59,6 +60,7 @@ class DoublingFL:
         self.y_max = y_max
         self.bottom = n
         self.table = table
+        self._table = memoryview(table)
 
     def query(self, x: int, y: int) -> int:
         """Least i >= x with values[i] >= y, or n.  O(log(y - values[x]))."""
@@ -68,13 +70,13 @@ class DoublingFL:
         if x < 0:
             x = 0
         values = self._values
-        table = self.table
+        table = self._table
         cur = x
         t = y - values[cur]
         if __debug__:
             hops = 0
         while t > 0:
-            cur = int(table[t.bit_length() - 1, cur])
+            cur = table[t.bit_length() - 1, cur]
             if cur == n:
                 return n
             t = y - values[cur]

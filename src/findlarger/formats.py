@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from typing import Sequence, TextIO
 
-from .trees import MalformedTreeError, Tree, parse_balanced_parens, parse_parent_array, read_ints
+import numpy as np
+
+from .trees import MalformedTreeError, Tree, euler_tour, parse_balanced_parens, parse_parent_array, read_ints
 
 __all__ = [
     "SequenceParseError",
@@ -54,22 +56,16 @@ def read_tree(text: str, fmt: str) -> Tree:
 
 def write_parent_array(tree: Tree, out: TextIO) -> None:
     out.write(f"{tree.n_nodes}\n")
-    out.write(" ".join(map(str, tree.parent)))
+    out.write(" ".join(map(str, tree.parent.tolist())))
     out.write("\n")
 
 
 def write_parens(tree: Tree, out: TextIO) -> None:
-    parts: list[str] = []
-    # preorder with explicit closing markers
-    stack: list[int | None] = [tree.root]
-    while stack:
-        v = stack.pop()
-        if v is None:
-            parts.append(")")
-            continue
-        parts.append("(")
-        stack.append(None)
-        for w in reversed(tree.children[v]):
-            stack.append(w)
-    out.write("".join(parts))
-    out.write("\n")
+    """The tree as nested parentheses, children in ascending order.
+
+    Each step of the Euler tour that goes one deeper opens a node and each
+    step back up closes one; the root's own pair encloses them all.
+    """
+    steps = np.diff(euler_tour(tree).depths)
+    inner = np.where(steps > 0, ord("("), ord(")")).astype(np.uint8).tobytes().decode("ascii")
+    out.write(f"({inner})\n")

@@ -89,16 +89,17 @@ def naive_valley(values: Sequence[int], x: int, y: int) -> int:
 
 def naive_la(tree: Tree, v: int, d: int) -> int:
     """Ancestor of v at depth d by walking parent links."""
+    parent = memoryview(tree.parent)  # plain-int reads, no copy of the tree
     depth = 0
     u = v
-    while tree.parent[u] != -1:
-        u = tree.parent[u]
+    while parent[u] != -1:
+        u = parent[u]
         depth += 1
     if d < 0 or d > depth:
         raise DepthOutOfRangeError(f"node {v} has depth {depth}, requested {d}")
     u = v
     for _ in range(depth - d):
-        u = tree.parent[u]
+        u = parent[u]
     return u
 
 

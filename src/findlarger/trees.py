@@ -9,10 +9,11 @@ after v's first visit whose depth is d.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .core import OneLevelFL
+from .core import NotAnIntegerError, OneLevelFL, ValueOutOfRangeError, int64_array
 
 __all__ = [
     "TreeFormatError",
@@ -70,61 +71,83 @@ class UnknownNodeError(ValueError):
     """Node id outside 0..n-1."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tree:
-    """Rooted tree over nodes 0..n-1; parent[root] == -1.
+    """Rooted tree over nodes 0..n-1; ``parent`` is a 1-D int64 ndarray
+    with ``parent[root] == -1``.
 
-    ``children`` lists are in ascending order, which for a parenthesis
-    string is input order, since its nodes are numbered in preorder.
+    Children are ordered by their numbers (see :func:`euler_tour`), which
+    for a parenthesis string is input order, since its nodes are numbered
+    in preorder.  Build one with :meth:`from_parents`, which checks it.
+    Two trees are equal when their roots and parent arrays are.
     """
 
-    parent: list[int]
-    children: list[list[int]]
+    parent: np.ndarray
     root: int
+
+    def __eq__(self, other: object) -> bool:
+        # the dataclass __eq__ would take the truth value of an elementwise comparison
+        if not isinstance(other, Tree):
+            return NotImplemented
+        return self.root == other.root and np.array_equal(self.parent, other.parent)
 
     @property
     def n_nodes(self) -> int:
         return len(self.parent)
 
     @classmethod
-    def from_parents(cls, parent: list[int]) -> Tree:
+    def from_parents(cls, parent: Iterable[int]) -> Tree:
         """The tree whose node v has parent ``parent[v]``, -1 for the root.
 
-        Raises MalformedTreeError (entry outside -1..n-1), CycleError, or
-        NoRootError / MultipleRootsError unless exactly one root exists.
+        A 1-D int64 ndarray is kept as it is, without a copy; any other
+        input is converted from its integers (see :func:`~findlarger.core.int64_array`).
+
+        Raises, in this order: MalformedTreeError (an entry that is not an
+        integer or lies outside -1..n-1, naming the node), CycleError
+        (naming a node whose parent chain never reaches a root, and a node
+        on the cycle it enters), then NoRootError / MultipleRootsError
+        unless exactly one root exists.
         """
+        try:
+            parent = int64_array(parent)
+        except ValueOutOfRangeError as e:
+            raise MalformedTreeError(
+                f"parent of node {e.index} lies outside the signed 64-bit range"
+            ) from None
+        except NotAnIntegerError as e:
+            raise MalformedTreeError(f"parent of node {e.index} is not an integer") from None
         n = len(parent)
-        for v, p in enumerate(parent):
-            if not -1 <= p < n:
-                raise MalformedTreeError(f"parent of node {v} is {p}, outside -1..{n - 1}")
+        bad = (parent < -1) | (parent >= n)
+        if bad.any():
+            v = int(bad.argmax())
+            raise MalformedTreeError(f"parent of node {v} is {parent[v]}, outside -1..{n - 1}")
 
-        # walk each chain, colouring nodes done/in-progress
-        state = bytearray(n)  # 0 unvisited, 1 on current walk, 2 settled
-        for v0 in range(n):
-            if state[v0]:
-                continue
-            chain = []
-            v = v0
-            while v != -1 and state[v] == 0:
-                state[v] = 1
-                chain.append(v)
-                v = parent[v]
-            if v != -1 and state[v] == 1:
-                raise CycleError(f"parent chain from node {v0} loops at node {v}")
-            for u in chain:
-                state[u] = 2
+        # pointer jumping with each root pointing at itself: after k rounds
+        # anc[v] is v's ancestor 2^k steps up, or its root once that is nearer
+        is_root = parent == -1
+        roots = np.flatnonzero(is_root)
+        anc = parent.copy()
+        anc[roots] = roots
+        spare = np.empty_like(anc)
+        for _ in range((n - 1).bit_length()):
+            np.take(anc, anc, out=spare, mode="clip")  # in range by construction
+            anc, spare = spare, anc
+        # 2^k > n - 1 steps reach the root, or run past any path into a cycle,
+        # so then anc[v] lies on the cycle
+        stuck = ~is_root[anc]
+        if stuck.any():
+            v = int(stuck.argmax())
+            raise CycleError(
+                f"parent chain from node {v} never reaches a root: it loops through node {anc[v]}"
+            )
 
-        roots = [v for v, p in enumerate(parent) if p == -1]
-        if not roots:
+        if not len(roots):
             raise NoRootError("no node has parent -1")
         if len(roots) > 1:
-            raise MultipleRootsError(f"nodes {roots} all have parent -1")
-
-        children: list[list[int]] = [[] for _ in range(n)]
-        for v, p in enumerate(parent):
-            if p != -1:
-                children[p].append(v)
-        return cls(parent=parent, children=children, root=roots[0])
+            raise MultipleRootsError(
+                f"{len(roots)} nodes have parent -1, among them {roots[0]} and {roots[1]}"
+            )
+        return cls(parent=parent, root=int(roots[0]))
 
 
 def read_ints(text: str, error: type[ValueError]) -> list[int]:
@@ -191,10 +214,11 @@ class EulerTour:
     """DFS tour of a tree: 2n-1 stops covering every edge twice.
 
     ``nodes[j]`` and ``depths[j]`` describe stop j; a node is recorded on
-    first entry and again after each child returns.  ``first_pos[v]`` is
-    the earliest stop at v and ``depth[v]`` its distance from the root.
-    Adjacent depths differ by exactly one, so ``depths`` is 1-difference.
-    All four are int64 ndarrays.
+    first entry and again after each child returns, and children are
+    visited in ascending order.  ``first_pos[v]`` is the earliest stop at
+    v and ``depth[v]`` its distance from the root.  Adjacent depths differ
+    by exactly one, so ``depths`` is 1-difference.  All four are int64
+    ndarrays.
     """
 
     nodes: np.ndarray
@@ -204,47 +228,67 @@ class EulerTour:
 
 
 def euler_tour(tree: Tree) -> EulerTour:
-    """Iterative DFS tour; children are visited in their stored order."""
-    n = tree.n_nodes
-    m = 2 * n - 1
-    nodes = np.zeros(m, dtype=np.int64)
-    depths = np.zeros(m, dtype=np.int64)
-    first_pos = np.zeros(n, dtype=np.int64)
-    depth = np.zeros(n, dtype=np.int64)
-    tour = EulerTour(nodes=nodes, depths=depths, first_pos=first_pos, depth=depth)
-    nodes, depths, first_pos, depth = map(memoryview, (nodes, depths, first_pos, depth))
-    children = tree.children
+    """The tree's Euler tour by list ranking, in whole-array passes.
+
+    Each non-root node w has a down edge, numbered w, and an up edge,
+    numbered n + w; 2n is the end of the list.  down(w) leads to the down
+    edge of w's first child, or to up(w) when w is a leaf; up(w) leads to
+    the down edge of w's next sibling, or else to up(parent), or to the
+    end when the parent is the root.  Pointer jumping (Wyllie 1979) gives
+    every edge its distance to the end, hence its place in the tour.
+    """
+    parent = tree.parent
+    n = len(parent)
     root = tree.root
-    nodes[0] = root
-    # explicit stack of (node, index of next child to visit)
-    stack_node = [root]
-    stack_next = [0]
-    pos = 1
-    while stack_node:
-        v = stack_node[-1]
-        i = stack_next[-1]
-        ch = children[v]
-        if i < len(ch):
-            stack_next[-1] = i + 1
-            w = ch[i]
-            d = depth[v] + 1
-            depth[w] = d
-            first_pos[w] = pos
-            nodes[pos] = w
-            depths[pos] = d
-            pos += 1
-            stack_node.append(w)
-            stack_next.append(0)
-        else:
-            stack_node.pop()
-            stack_next.pop()
-            if stack_node:
-                u = stack_node[-1]
-                nodes[pos] = u
-                depths[pos] = depth[u]
-                pos += 1
-    assert pos == m
-    return tour
+    m = 2 * (n - 1)  # edges, each ending at one stop after stop 0
+    end = 2 * n
+
+    # children grouped by parent, in ascending order within each group; the
+    # root, the one node with parent -1, sorts first
+    order = np.argsort(parent, kind="stable")
+    group = parent[order]
+    nxt = np.empty(end + 1, dtype=np.int64)
+    down, up = nxt[:n], nxt[n:end]
+    down[:] = np.arange(n, end)  # a leaf turns back up its own edge
+    firsts = np.flatnonzero(group[1:] != group[:-1]) + 1
+    down[group[firsts]] = order[firsts]
+    # after up(w): the next sibling's down edge, or else the parent's up edge
+    then = group + n
+    sibling = group[:-1] == group[1:]
+    then[:-1][sibling] = order[1:][sibling]
+    then[then == n + root] = end
+    up[order[1:]] = then[1:]
+    del order, group, firsts, then, sibling
+
+    # the root's own two edges lie in no tour: a distance of m + 1 places them
+    # at stop 0, where the root's down edge is written last
+    nxt[root] = nxt[n + root] = nxt[end] = end
+    dist = np.ones(end + 1, dtype=np.int64)
+    dist[root] = dist[n + root] = m + 1
+    dist[end] = 0
+    spare_dist = np.empty_like(dist)
+    spare_nxt = np.empty_like(nxt)
+    for _ in range(m.bit_length()):
+        # in range by construction; with out=, the default mode="raise" copies
+        # through a buffer and ran 2.5x slower
+        np.take(dist, nxt, out=spare_dist, mode="clip")
+        dist += spare_dist
+        np.take(nxt, nxt, out=spare_nxt, mode="clip")
+        nxt, spare_nxt = spare_nxt, nxt
+    del nxt, spare_nxt, spare_dist
+    stop = np.subtract(m + 1, dist[:end], out=dist[:end])  # edge -> its stop
+
+    nodes = np.empty(m + 1, dtype=np.int64)
+    depths = np.empty(m + 1, dtype=np.int64)
+    nodes[stop[n:]] = parent  # up(w) returns to w's parent
+    nodes[stop[:n]] = np.arange(n)
+    depths[stop[n:]] = -1
+    depths[stop[:n]] = 1
+    depths[0] = 0
+    np.cumsum(depths, out=depths)
+    first_pos = stop[:n].copy()
+    depth = depths[first_pos]
+    return EulerTour(nodes=nodes, depths=depths, first_pos=first_pos, depth=depth)
 
 
 class LevelAncestorIndex:

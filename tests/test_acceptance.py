@@ -10,6 +10,8 @@ import csv
 import itertools
 import random
 
+import numpy as np
+
 from findlarger import LevelAncestorIndex, OneLevelFL, compute_valleys, validate_sequence
 from findlarger.cli import main as cli_main
 from findlarger.bench import run_bench
@@ -27,8 +29,14 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def _grid_agreement(values, kappas=KAPPAS):
-    """Criteria-1-style sweep on one sequence: full grid, every kappa."""
-    v = list(values)
+    """Criteria-1-style sweep on one sequence: full grid, every kappa.
+
+    The structures are built from an int64 array, which each build checks;
+    the arrays the enumerator yields (already validated) are used as they
+    are.  The oracle reads the same values as a list of plain ints.
+    """
+    seq = np.asarray(values, dtype=np.int64)
+    v = seq.tolist()
     n = len(v)
     lo, hi = min(v), max(v)
     xs = range(-1, n + 1)
@@ -36,7 +44,7 @@ def _grid_agreement(values, kappas=KAPPAS):
     want = [[naive_fl(v, x, y) for y in ys] for x in xs]
     checked = 0
     for kappa in kappas:
-        query = OneLevelFL(v, kappa).query
+        query = OneLevelFL(seq, kappa).query
         for xi, x in enumerate(xs):
             row = want[xi]
             for yi, y in enumerate(ys):

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from findlarger import validate_sequence
+from findlarger import euler_tour, validate_sequence
 from findlarger.formats import (
     SequenceParseError,
     read_sequence,
@@ -47,8 +47,8 @@ class TestSequenceFormat:
 
 class TestTreeFormat:
     def test_read_tree_dispatch(self):
-        assert read_tree("3\n-1 0 0", "parent").children == [[1, 2], [], []]
-        assert read_tree("(()())", "parens").children == [[1, 2], [], []]
+        assert euler_tour(read_tree("3\n-1 0 0", "parent")).nodes.tolist() == [0, 1, 0, 2, 0]
+        assert euler_tour(read_tree("(()())", "parens")).nodes.tolist() == [0, 1, 0, 2, 0]
         with pytest.raises(ValueError):
             read_tree("-1", "seq")
 

@@ -3,6 +3,7 @@
 import gc
 import io
 import random
+import re
 import weakref
 
 import pytest
@@ -36,27 +37,33 @@ def tree_from(parent):
 class TestParentArrayParsing:
     def test_chain_with_header(self):
         t = parse_parent_array("4\n-1 0 1 2")
-        assert t.parent == [-1, 0, 1, 2]
+        assert t.parent.tolist() == [-1, 0, 1, 2]
         assert t.root == 0
-        assert t.children == [[1], [2], [3], []]
+        assert euler_tour(t).nodes.tolist() == [0, 1, 2, 3, 2, 1, 0]
 
     def test_star_without_header(self):
         t = parse_parent_array("-1 0 0")
-        assert t.parent == [-1, 0, 0]
-        assert t.children == [[1, 2], [], []]
+        assert t.parent.tolist() == [-1, 0, 0]
+        assert euler_tour(t).nodes.tolist() == [0, 1, 0, 2, 0]
 
     def test_root_anywhere(self):
         t = parse_parent_array("3\n2 2 -1")
         assert t.root == 2
-        assert t.children == [[], [], [0, 1]]
+        assert euler_tour(t).nodes.tolist() == [2, 0, 2, 1, 2]
 
     def test_single_node(self):
         assert parse_parent_array("-1").n_nodes == 1
 
+    def test_trees_compare_by_value(self):
+        t = parse_parent_array("-1 0 0 1")
+        assert t == Tree.from_parents([-1, 0, 0, 1])
+        assert t != Tree.from_parents([-1, 0, 0, 2])
+        assert t != Tree.from_parents([1, -1, 0, 1])
+
     def test_matching_first_value_on_one_line_is_not_a_header(self):
         t = parse_parent_array("1 -1")
-        assert t.parent == [1, -1] and t.root == 1
-        assert parse_parent_array("2\n1 -1").parent == [1, -1]
+        assert t.parent.tolist() == [1, -1] and t.root == 1
+        assert parse_parent_array("2\n1 -1").parent.tolist() == [1, -1]
 
     def test_malformed(self):
         for text in ("", "a b", "3\n-1 0 x", "-1 7", "-1 -2"):
@@ -64,6 +71,10 @@ class TestParentArrayParsing:
                 parse_parent_array(text)
         for parent in ([-1, 7], [-1, -2]):
             with pytest.raises(MalformedTreeError):
+                Tree.from_parents(parent)
+        # non-integers and values past int64 are typed errors naming the node
+        for parent in ([-1, 0.5], [-1, "0"], [-1, 2**70], [-1, None, 0]):
+            with pytest.raises(MalformedTreeError, match=r"\bnode 1\b"):
                 Tree.from_parents(parent)
 
     def test_self_loops_are_cycles(self):
@@ -77,6 +88,25 @@ class TestParentArrayParsing:
             parse_parent_array("-1 2 3 1")
         with pytest.raises(CycleError):
             Tree.from_parents([-1, 2, 3, 1])
+        # a cycle is reported before the root count is checked
+        with pytest.raises(CycleError):
+            Tree.from_parents([-1, -1, 3, 2])
+
+    def test_cycle_error_names_a_node_on_the_cycle(self):
+        n = 1 << 16
+        tail_into_pair = list(range(1, n)) + [n - 2]  # 0 -> 1 -> ... -> n-1 -> n-2
+        cases = [
+            ([-1, 2, 3, 4, 2], {2, 3, 4}),
+            ([0, 1], {0, 1}),
+            ([-1, -1, 3, 2], {2, 3}),
+            (tail_into_pair, {n - 2, n - 1}),
+            ([n - 1] + list(range(n - 1)), set(range(n))),  # one cycle through every node
+        ]
+        for parent, cycle in cases:
+            with pytest.raises(CycleError) as err:
+                Tree.from_parents(parent)
+            m = re.search(r"loops through node (\d+)", str(err.value))
+            assert m and int(m.group(1)) in cycle, str(err.value)
 
     def test_multiple_roots(self):
         with pytest.raises(MultipleRootsError):
@@ -88,12 +118,12 @@ class TestParentArrayParsing:
 class TestParensParsing:
     def test_nested(self):
         t = parse_balanced_parens("((())())")
-        assert t.parent == [-1, 0, 1, 0]
-        assert t.children == [[1, 3], [2], [], []]
+        assert t.parent.tolist() == [-1, 0, 1, 0]
+        assert euler_tour(t).nodes.tolist() == [0, 1, 2, 1, 0, 3, 0]
         assert t.root == 0
 
     def test_whitespace_ignored(self):
-        assert parse_balanced_parens(" ( ( ) ) \n").parent == [-1, 0]
+        assert parse_balanced_parens(" ( ( ) ) \n").parent.tolist() == [-1, 0]
 
     def test_unbalanced(self):
         for text in ("(()", "())", ")("):
@@ -142,10 +172,18 @@ class TestEulerTour:
         tour = euler_tour(parse_parent_array("-1"))
         assert list(tour.nodes) == [0] and list(tour.depths) == [0]
 
-    @settings(max_examples=120, deadline=None)
-    @given(st.integers(1, 120), st.integers(0, 10**6), st.floats(0.0, 1.0))
-    def test_tour_shape(self, n, seed, path_bias):
-        tree = tree_from(random_parent_array(n, seed, path_bias))
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 120), st.integers(0, 10**6), st.floats(0.0, 1.0), st.booleans())
+    def test_tour_shape(self, n, seed, path_bias, relabel):
+        parent = random_parent_array(n, seed, path_bias)
+        if relabel:  # the root anywhere, parents higher-numbered as often as not
+            perm = list(range(n))
+            random.Random(seed).shuffle(perm)
+            relabelled = [0] * n
+            for v, p in enumerate(parent):
+                relabelled[perm[v]] = -1 if p == -1 else perm[p]
+            parent = relabelled
+        tree = tree_from(parent)
         tour = euler_tour(tree)
         assert len(tour.nodes) == len(tour.depths) == 2 * n - 1
         assert tour.nodes[0] == tree.root and tour.nodes[-1] == tree.root
@@ -163,10 +201,31 @@ class TestEulerTour:
         # stored depths agree with parent walks
         for v in range(n):
             d, u = 0, v
-            while tree.parent[u] != -1:
-                u = tree.parent[u]
+            while parent[u] != -1:
+                u = parent[u]
                 d += 1
             assert tour.depth[v] == d
+        # each step down enters a child of the stop before it, in ascending order
+        visited = [[] for _ in range(n)]
+        for j in range(1, 2 * n - 1):
+            if tour.depths[j] > tour.depths[j - 1]:
+                visited[tour.nodes[j - 1]].append(int(tour.nodes[j]))
+        assert visited == [[w for w in range(n) if parent[w] == v] for v in range(n)]
+
+    def test_large_path_and_star(self):
+        n = 1 << 16
+        # a path rooted at its highest node: every parent is higher-numbered
+        tour = euler_tour(Tree.from_parents(list(range(1, n)) + [-1]))
+        down = list(range(n - 1, -1, -1))
+        assert tour.nodes.tolist() == down + down[-2::-1]
+        assert tour.depths.tolist() == list(range(n)) + list(range(n - 2, -1, -1))
+        assert tour.first_pos.tolist() == down
+        assert tour.depth.tolist() == down
+        star = euler_tour(Tree.from_parents([-1] + [0] * (n - 1)))
+        assert star.nodes[1::2].tolist() == list(range(1, n))
+        assert star.nodes[::2].tolist() == [0] * n
+        assert star.depths.tolist() == [0, 1] * (n - 1) + [0]
+        assert star.first_pos.tolist() == [0] + list(range(1, 2 * n - 2, 2))
 
 
 class TestLevelAncestorIndex:
