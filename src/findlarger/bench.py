@@ -3,7 +3,7 @@
 Build time is a single wall-clock measurement; query time is measured
 over seeded nontrivial queries (y above the starting value) in batches
 of 10k by default: ``mean_query_ns`` is the mean over all queries and
-``p99_query_ns`` the p99 of the batch means, not a per-query tail.
+``p99_batch_mean_ns`` the p99 of the batch means, not a per-query tail.
 All structures in one run answer the identical query stream, and their
 answers on a prefix of it are cross-checked.
 """
@@ -31,7 +31,7 @@ __all__ = [
     "run_bench",
 ]
 
-CSV_HEADER = "structure_name,n,kappa,build_ns,mean_query_ns,p99_query_ns,entries,bytes,seed"
+CSV_HEADER = "structure_name,n,kappa,build_ns,mean_query_ns,p99_batch_mean_ns,entries,bytes,seed"
 
 STRUCTURE_NAMES = ("onelevel", "doubling", "naive")
 
@@ -43,7 +43,7 @@ class BenchRecord:
     kappa: int
     build_ns: int
     mean_query_ns: float
-    p99_query_ns: float
+    p99_batch_mean_ns: float
     entries: int
     bytes: int
     seed: int
@@ -51,7 +51,7 @@ class BenchRecord:
     def csv_row(self) -> str:
         return (
             f"{self.structure_name},{self.n},{self.kappa},{self.build_ns},"
-            f"{self.mean_query_ns:.1f},{self.p99_query_ns:.1f},"
+            f"{self.mean_query_ns:.1f},{self.p99_batch_mean_ns:.1f},"
             f"{self.entries},{self.bytes},{self.seed}"
         )
 
@@ -173,7 +173,7 @@ def run_bench(
                 kappa=kappa,
                 build_ns=build_ns,
                 mean_query_ns=mean_ns,
-                p99_query_ns=p99_ns,
+                p99_batch_mean_ns=p99_ns,
                 entries=structure.entry_count(),
                 bytes=structure.resident_bytes(),
                 seed=seed,

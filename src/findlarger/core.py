@@ -34,6 +34,28 @@ __all__ = [
 ]
 
 
+# The ladder and jump fill sweeps the positions right to left in blocks of
+# this many, so that its temporaries grow with one block, not with n, and
+# the block's sorted keys stay in cache while its needles are searched.  A
+# power of two, so that lowbit(x) = lowbit(x - a) inside a block [a, b)
+# for x > a.
+BLOCK = 1 << 12
+
+# A block's ladder entries are searched in pieces of at most this many, so
+# that one ladder of length near n (an endpoint's, or a heavy valley's)
+# does not make temporaries of its length.  Interior ladders hold at most
+# 8n entries in all at kappa 4 and 5, so a block is mostly one piece.
+CHUNK = 8 * BLOCK
+
+# closes every block's sorted keys: above every key and every needle
+_KEY_END = 2**63 - 1
+# x - a and lowbit(x - a) for the positions x of a block [a, b)
+_LOCAL = np.arange(BLOCK, dtype=np.int64)
+_LOWBIT = _LOCAL & -_LOCAL
+_LOCAL.flags.writeable = False
+_LOWBIT.flags.writeable = False
+
+
 class EmptySequenceError(ValueError):
     """Raised when an operation needs at least one sequence element."""
 
@@ -235,10 +257,19 @@ class OneLevelFL:
     """Find-larger index over a 1-difference sequence.
 
     The constructor runs the whole O(n) build: a valley sweep, per-valley
-    weights, ladders of partial find-larger answers copied off a
-    right-to-left "next position at height" sweep, and a jump table that
+    weights, ladders of partial find-larger answers, and a jump table that
     sends any query too tall for its own ladder to a ladder tall enough
     to hold it.  ``query`` then answers in O(1).
+
+    Ladders and jumps are filled by one right-to-left sweep over blocks of
+    ``BLOCK`` positions.  A block sorts its positions by (value, position)
+    and answers every "first position after x holding value v" it needs,
+    for its ladder entries, its jumps and the carry to the next block,
+    with one binary search over those keys; what the block cannot answer
+    comes from the first position after it at that value, carried from
+    the blocks to its right.  A block's ladder entries are searched in
+    pieces of at most ``CHUNK``, so temporaries stay at the size of one
+    block, and the block's keys stay in cache.
 
     All ladders share one array, ``ladder_data``; ladder x spans
     ``ladder_data[ladder_start[x]:ladder_start[x + 1]]``, so
@@ -305,29 +336,71 @@ class OneLevelFL:
         starts = np.zeros(n + 1, dtype=np.int64)
         heights.cumsum(out=starts[1:])
         del cap, heights
-        starts = memoryview(starts)
-        ladder_data = memoryview(np.empty(starts[n], dtype=np.int64))
-        jump = memoryview(np.zeros(n, dtype=np.int64))
+        ladder_data = np.empty(starts[n], dtype=np.int64)
+        jump = np.empty(n, dtype=np.int64)  # every entry is written below
 
-        # next_at[v - y_min] = least position >= current x whose value is v;
-        # one extra slot keeps y_max + 1 addressable (always n)
+        # The right-to-left sweep, one block [a, b) at a time.  Position x
+        # is at level values[x] - y_min and has the key level * w + x - a,
+        # so a block's sorted keys run level by level, by position within
+        # a level.  The first position after x at level v is the first key
+        # at or above the needle v * w + x - a if that key is at level v,
+        # else next_at[v], the first position >= b at level v.  One slot
+        # beyond y_max keeps y_max + 1 addressable (always n).
         size = y_max - y_min + 2
-        next_at = memoryview(np.full(size, n, dtype=np.int64))
-        valley = memoryview(valley)
-        off = -y_min
-        step = kappa - 2
-        for x in range(n - 1, -1, -1):
-            i = values[x] + off
-            next_at[i] = x
-            st = starts[x]
-            h = starts[x + 1] - st
-            if h:
-                ladder_data[st : st + h] = next_at[i + 1 : i + 1 + h]
-            if x:
-                t = i + step * (x & -x)
-                if t >= size:
-                    t = size - 1
-                jump[x] = valley[next_at[t]]
+        next_at = np.full(size, n, dtype=np.int64)
+        w = BLOCK + 1
+        top = (size - 1) * w  # a needle at level y_max + 1, which no key reaches
+        # a jump climbs (kappa - 2) * lowbit(x) levels, at most to y_max + 1,
+        # so kappa - 2 is cut to the level range first to stay in int64
+        step = min(kappa - 2, size - 1)
+        jump_keys = _LOWBIT[: min(n, BLOCK)] * (step * w)
+        for a in range(n - 1 - (n - 1) % BLOCK, -1, -BLOCK):
+            b = min(a + BLOCK, n)
+            m = b - a
+            st = starts[a : b + 1]
+            s0 = int(st[0])
+            s1 = int(st[m])
+            keys = np.empty(m + 1, dtype=np.int64)
+            block_keys = keys[:m]
+            np.subtract(data[a:b], y_min, out=block_keys)
+            block_keys *= w
+            block_keys += _LOCAL[:m]
+            keys[m] = _KEY_END  # every needle then finds a key
+            sorted_keys = np.sort(keys)
+            lo = int(sorted_keys[0]) // w
+            hi = int(sorted_keys[m - 1]) // w  # a 1-difference block holds every level in [lo, hi]
+            # ladder_data[j] is entry k = j - starts[x] + 1 of ladder x, at
+            # level + k, so its needle is (key_x - starts[x] * w) + (j + 1) * w
+            base = block_keys - st[:-1] * w
+            # the block's ladder entries in pieces of at most CHUNK, and at
+            # least one piece; the last also holds the jump needles and the
+            # carry needles, which ask for the first position of each level
+            for j0 in range(s0, max(s1, s0 + 1), CHUNK):
+                j1 = min(j0 + CHUNK, s1)
+                k = j1 - j0
+                last = j1 == s1
+                needles = np.empty(k + m + hi - lo + 1 if last else k, dtype=np.int64)
+                cut = np.minimum(np.maximum(st, j0), j1)
+                np.add(
+                    np.repeat(base, cut[1:] - cut[:-1]),
+                    np.arange((j0 + 1) * w, (j1 + 1) * w, w),
+                    out=needles[:k],
+                )
+                if last:
+                    jump_needles = needles[k : k + m]
+                    np.add(block_keys, jump_keys[:m], out=jump_needles)
+                    np.minimum(jump_needles, top, out=jump_needles)
+                    # x = a climbs by lowbit(a), in Python integers: jump_keys[0] is 0
+                    jump_needles[0] = min(int(block_keys[0]) + step * (a & -a) * w, top)
+                    needles[k + m :] = np.arange(lo * w, (hi + 1) * w, w)
+
+                hit_level, hit = np.divmod(sorted_keys[sorted_keys.searchsorted(needles)], w)
+                level = needles // w
+                hit += a
+                answers = np.where(hit_level == level, hit, next_at[level])
+                ladder_data[j0:j1] = answers[:k]
+            np.take(valley, answers[k : k + m], out=jump[a:b])
+            next_at[lo : hi + 1] = answers[k + m :]
 
         self._values = values
         self.n = n
@@ -336,10 +409,10 @@ class OneLevelFL:
         self.y_min = y_min
         self.y_max = y_max
         self.bottom = n
-        self.jump = jump
-        self.ladder_start = starts
-        self.ladder_data = ladder_data
-        self.build_stats = BuildStats(pushes, pops, starts[n])
+        self.jump = memoryview(jump)
+        self.ladder_start = memoryview(starts)
+        self.ladder_data = memoryview(ladder_data)
+        self.build_stats = BuildStats(pushes, pops, len(ladder_data))
 
     def query(self, x: int, y: int) -> int:
         """Least position i >= x with values[i] >= y, or ``bottom`` (= n).

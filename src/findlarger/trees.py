@@ -8,7 +8,7 @@ after v's first visit whose depth is d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -209,7 +209,7 @@ def parse_balanced_parens(text: str) -> Tree:
     return Tree.from_parents(parent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EulerTour:
     """DFS tour of a tree: 2n-1 stops covering every edge twice.
 
@@ -218,13 +218,19 @@ class EulerTour:
     visited in ascending order.  ``first_pos[v]`` is the earliest stop at
     v and ``depth[v]`` its distance from the root.  Adjacent depths differ
     by exactly one, so ``depths`` is 1-difference.  All four are int64
-    ndarrays.
+    ndarrays.  Two tours are equal when all four arrays are.
     """
 
     nodes: np.ndarray
     depths: np.ndarray
     first_pos: np.ndarray
     depth: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        # the dataclass __eq__ would take the truth value of an elementwise comparison
+        if not isinstance(other, EulerTour):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 def euler_tour(tree: Tree) -> EulerTour:

@@ -1,5 +1,7 @@
 """Unit tests for the one-level find-larger structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from findlarger import (
     validate_sequence,
 )
 from findlarger.bench import ScanFL
+from findlarger.core import BLOCK, CHUNK, compute_valleys
+from findlarger.gen import random_walk_values
 from findlarger.oracle import naive_fl, naive_fs
 
 from conftest import full_grid, one_diff_lists
@@ -159,6 +163,95 @@ class TestBuildExample:
         s = OneLevelFL(EXAMPLE, 5)
         assert heights(s)[0] == s.y_max - EXAMPLE[0]
         assert heights(s)[5] == s.y_max - EXAMPLE[5]
+
+
+def reference_build(values, kappa):
+    """Ladder offsets, ladders and jumps by a per-position right-to-left
+    loop over Python integers: the reference the blocked fill must equal."""
+    n = len(values)
+    valley = compute_valleys(values).tolist()
+    y_min, y_max = min(values), max(values)
+    kappa_prime = -((2 * kappa + 2) // (2 - kappa))
+    weight = [0] * n
+    for v in valley[:n]:
+        weight[v] += 1
+    floor = min(kappa - 1, y_max - y_min)
+    heights = [min(max(kappa_prime * (wt - 1) - 2, floor), y_max - y) for wt, y in zip(weight, values)]
+    heights[0], heights[-1] = y_max - values[0], y_max - values[-1]
+    starts = [0]
+    for h in heights:
+        starts.append(starts[-1] + h)
+    ladder_data = [0] * starts[n]
+    jump = [0] * n
+    # next_at[v - y_min] = least position >= x whose value is v; one extra
+    # slot keeps y_max + 1 addressable (always n)
+    size = y_max - y_min + 2
+    next_at = [n] * size
+    for x in range(n - 1, -1, -1):
+        i = values[x] - y_min
+        next_at[i] = x
+        st = starts[x]
+        h = starts[x + 1] - st
+        ladder_data[st : st + h] = next_at[i + 1 : i + 1 + h]
+        if x:
+            t = min(i + (kappa - 2) * (x & -x), size - 1)
+            jump[x] = valley[next_at[t]]
+    return starts, ladder_data, jump
+
+
+def path_tour(n):
+    """0, 1, ..., m, ..., 1, 0 cut to n values."""
+    m = n // 2
+    return (list(range(m + 1)) + list(range(m - 1, -1, -1)))[:n]
+
+
+SHAPES = {
+    "walk-down": lambda n: random_walk_values(n, seed=n, bias=-0.6),
+    "walk": lambda n: random_walk_values(n, seed=n),
+    "walk-up": lambda n: random_walk_values(n, seed=n, bias=0.6),
+    "increasing": lambda n: list(range(n)),
+    "decreasing": lambda n: list(range(n, 0, -1)),
+    "constant": lambda n: [3] * n,
+    "path-tour": path_tour,
+}
+
+
+class TestBlockedFill:
+    """The blocked fill against the per-position loop, across block edges."""
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_equals_the_per_position_loop(self, n, shape):
+        values = SHAPES[shape](n)
+        # a huge kappa makes every ladder full height, n times the range in
+        # all, so it runs only where the range is small
+        kappas = (3, 5, 2**62, 2**70) if shape in ("walk", "constant") else (3, 5)
+        lo, hi = min(values), max(values)
+        for shift in (0, -(2**63) - lo, 2**63 - 1 - hi):  # touch both int64 limits
+            shifted = [v + shift for v in values]
+            for kappa in kappas:
+                s = OneLevelFL(shifted, kappa)
+                starts, ladder_data, jump = reference_build(shifted, kappa)
+                assert s.ladder_start.tolist() == starts, (shift, kappa)
+                assert s.ladder_data.tolist() == ladder_data, (shift, kappa)
+                assert s.jump.tolist() == jump, (shift, kappa)
+
+    def test_temporaries_do_not_grow_with_one_long_ladder(self):
+        # ladder 0 of an increasing run, and ladder n - 1 of a decreasing
+        # one, hold n - 1 entries: eight times CHUNK
+        n = 8 * CHUNK
+        for values in (np.arange(n, dtype=np.int64), np.arange(n, 0, -1, dtype=np.int64)):
+            tracemalloc.start()
+            try:
+                s = OneLevelFL(values, 5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            kept = 8 * (len(s.ladder_data) + len(s.jump) + len(s.ladder_start))
+            # the valley sweep and the offsets take about 2 words per position
+            # beyond what the index keeps, and a piece of CHUNK entries about
+            # 1 more; a long ladder searched whole would take 6 more
+            assert peak - kept < 5 * 8 * n
 
 
 class TestQuery:

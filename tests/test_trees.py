@@ -172,6 +172,13 @@ class TestEulerTour:
         tour = euler_tour(parse_parent_array("-1"))
         assert list(tour.nodes) == [0] and list(tour.depths) == [0]
 
+    def test_equality_compares_the_arrays(self):
+        star = euler_tour(parse_parent_array("3\n-1 0 0"))
+        assert star == euler_tour(Tree.from_parents([-1, 0, 0]))
+        assert star != euler_tour(Tree.from_parents([1, -1, 1]))  # same depths, other nodes
+        assert star != euler_tour(parse_parent_array("3\n-1 0 1"))
+        assert star != "tour"
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 120), st.integers(0, 10**6), st.floats(0.0, 1.0), st.booleans())
     def test_tour_shape(self, n, seed, path_bias, relabel):

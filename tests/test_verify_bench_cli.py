@@ -73,7 +73,7 @@ class TestCheckTree:
 
 class TestBench:
     def test_csv_header_is_pinned(self):
-        assert CSV_HEADER == "structure_name,n,kappa,build_ns,mean_query_ns,p99_query_ns,entries,bytes,seed"
+        assert CSV_HEADER == "structure_name,n,kappa,build_ns,mean_query_ns,p99_batch_mean_ns,entries,bytes,seed"
         assert BenchRecord("onelevel", 8, 5, 1, 2.0, 3.0, 4, 5, 6).csv_row() == (
             "onelevel,8,5,1,2.0,3.0,4,5,6"
         )
@@ -106,7 +106,7 @@ class TestBench:
         for r in records:
             assert r.n == 300 and r.kappa == 5 and r.seed == 1
             assert r.build_ns > 0 and r.mean_query_ns > 0
-            assert r.p99_query_ns >= 0 and r.entries > 0 and r.bytes > 0
+            assert r.p99_batch_mean_ns >= 0 and r.entries > 0 and r.bytes > 0
 
     def test_run_bench_rejects_unknown_structure(self):
         with pytest.raises(ValueError):
