@@ -32,6 +32,7 @@ from .trees import (
     NoRootError,
     Tree,
     TreeFormatError,
+    TreeTooLargeError,
     UnbalancedParensError,
     UnknownNodeError,
     euler_tour,
@@ -60,6 +61,7 @@ __all__ = [
     "SpaceReport",
     "Tree",
     "TreeFormatError",
+    "TreeTooLargeError",
     "UnbalancedParensError",
     "UnknownNodeError",
     "ValueOutOfRangeError",

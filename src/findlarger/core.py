@@ -90,6 +90,12 @@ class InvalidKappaError(ValueError):
     """Raised when the ladder parameter kappa is below 3."""
 
 
+def check_kappa(kappa: int) -> None:
+    """Raise InvalidKappaError unless the ladder parameter is at least 3."""
+    if kappa < 3:
+        raise InvalidKappaError(f"kappa must be at least 3, got {kappa}")
+
+
 def int64_array(values: Iterable[int]) -> np.ndarray:
     """The integers in ``values`` as a 1-D int64 array.
 
@@ -308,8 +314,7 @@ class OneLevelFL:
     )
 
     def __init__(self, values: Iterable[int], kappa: int = 5):
-        if kappa < 3:
-            raise InvalidKappaError(f"kappa must be at least 3, got {kappa}")
+        check_kappa(kappa)
         data = validate_sequence(values)
         values = memoryview(data)
         n = len(data)

@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import NotAnIntegerError, OneLevelFL, ValueOutOfRangeError, int64_array
+from .core import NotAnIntegerError, OneLevelFL, ValueOutOfRangeError, check_kappa, int64_array
 
 __all__ = [
     "TreeFormatError",
@@ -25,6 +25,8 @@ __all__ = [
     "EmptyTreeError",
     "DepthOutOfRangeError",
     "UnknownNodeError",
+    "TreeTooLargeError",
+    "MAX_TOUR_NODES",
     "Tree",
     "EulerTour",
     "read_ints",
@@ -69,6 +71,23 @@ class DepthOutOfRangeError(ValueError):
 
 class UnknownNodeError(ValueError):
     """Node id outside 0..n-1."""
+
+
+class TreeTooLargeError(ValueError):
+    """Tree has more nodes than :func:`euler_tour` can rank."""
+
+
+# euler_tour keeps two numbers of at most 2n in one int64 word, which
+# holds for every tree below 2^30 nodes
+MAX_TOUR_NODES = (1 << 30) - 1
+
+# euler_tour ranks 2n edges by rulers from this many on, and fewer by
+# pointer jumping alone, whose few whole-array rounds cost less than a
+# walk of about RULER_SPACING * ln(n) steps; the two met near 2^17 edges
+RULED_SIZE = 1 << 17
+
+# about one edge in this many is a ruler
+RULER_SPACING = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,8 +151,11 @@ class Tree:
         for _ in range((n - 1).bit_length()):
             np.take(anc, anc, out=spare, mode="clip")  # in range by construction
             anc, spare = spare, anc
+            if np.array_equal(anc, spare):
+                break  # a fixed point: no later round changes anc
         # 2^k > n - 1 steps reach the root, or run past any path into a cycle,
-        # so then anc[v] lies on the cycle
+        # so then anc[v] lies on the cycle; a fixed point reached sooner is
+        # the same array, since it stays fixed for the remaining rounds
         stuck = ~is_root[anc]
         if stuck.any():
             v = int(stuck.argmax())
@@ -233,6 +255,91 @@ class EulerTour:
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
+def _rank(succ: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Every element's distance to the end of a list, by pointer jumping
+    (Wyllie 1979).
+
+    ``succ[i]`` is the element after i, and the end is its own successor;
+    ``dist[i]`` is the length of the link from i, 0 at the end.  Each
+    element keeps its distance and its successor in one int64 word, the
+    distance above ``shift = (len(succ) - 1).bit_length()`` bits and the
+    successor below, so a round is one gather of whole words: the
+    successor's word, added to the element's own with its successor bits
+    cleared, sums the distances and jumps the pointer at once.  Distances
+    to the end must stay below 2^(63 - shift).  Both arrays are
+    overwritten; the distances are returned in ``dist``.
+    """
+    shift = (len(succ) - 1).bit_length()
+    low = (1 << shift) - 1
+    word = dist
+    word <<= shift
+    word |= succ
+    got = np.empty_like(word)
+    for _ in range(shift):  # 2^shift steps pass the longest path
+        np.bitwise_and(word, low, out=succ)
+        # in range by construction; with out=, the default mode="raise" copies
+        # through a buffer and ran 2.5x slower
+        np.take(word, succ, out=got, mode="clip")
+        # the successor bits are cleared first, so no carry crosses into the distance
+        word &= ~low
+        word += got
+    word >>= shift
+    return word
+
+
+def _rank_by_rulers(succ: np.ndarray, heads: list[int]) -> np.ndarray:
+    """Every element's distance to the end of a list whose links all have
+    length 1, by a sparse ruling set (Reid-Miller 1994).
+
+    ``succ[i]`` is the element after i; the end is the last element and
+    its own successor, and ``heads`` holds every other element that no
+    element leads to.  About one element in ``RULER_SPACING``, drawn from
+    a fixed seed, the heads and the end are rulers.  All rulers walk ahead
+    at once, each step one gather, marking the elements they pass with
+    the ruler's number and the steps taken, until each meets the next
+    ruler; then the short list of rulers alone is ranked by
+    :func:`_rank`.  The walk takes as many steps as the longest run of
+    elements between two rulers, about ``RULER_SPACING * ln(len(succ))``
+    for any list not built against that seed.  A ruler's number and a
+    step count share one int64 word, so ``len(succ)`` must stay below
+    2^31.  ``succ`` is overwritten.
+    """
+    size = len(succ)
+    is_ruler = np.zeros(size, dtype=bool)
+    is_ruler[np.random.default_rng(0).integers(0, size, size // RULER_SPACING)] = True
+    is_ruler[heads] = True
+    is_ruler[-1] = True
+    rulers = np.flatnonzero(is_ruler)  # the end last
+    count = len(rulers)
+    shift = (size - 1).bit_length()
+    low = (1 << shift) - 1
+    # every element's ruler number above shift bits, its steps from that ruler below
+    place = np.empty(size, dtype=np.int64)
+    place[rulers] = np.arange(count) << shift
+    ahead = np.empty(count, dtype=np.int64)  # the next ruler
+    gap = np.empty(count, dtype=np.int64)  # the steps to it
+    ahead[-1], gap[-1] = count - 1, 0
+    # a walker stands on element at, tagged with its ruler's number and its steps
+    tag = np.arange(count - 1) << shift
+    at = succ[rulers[:-1]]
+    while len(tag):
+        tag += 1
+        met = is_ruler[at]
+        done = tag[met]
+        ahead[done >> shift] = place[at[met]] >> shift
+        gap[done >> shift] = done & low
+        passed = ~met
+        tag, at = tag[passed], at[passed]
+        place[at] = tag
+        at = succ[at]
+    dist = _rank(ahead, gap)
+    steps = np.bitwise_and(place, low, out=succ)
+    place >>= shift
+    np.take(dist, place, out=place, mode="clip")
+    place -= steps
+    return place
+
+
 def euler_tour(tree: Tree) -> EulerTour:
     """The tree's Euler tour by list ranking, in whole-array passes.
 
@@ -240,19 +347,37 @@ def euler_tour(tree: Tree) -> EulerTour:
     numbered n + w; 2n is the end of the list.  down(w) leads to the down
     edge of w's first child, or to up(w) when w is a leaf; up(w) leads to
     the down edge of w's next sibling, or else to up(parent), or to the
-    end when the parent is the root.  Pointer jumping (Wyllie 1979) gives
-    every edge its distance to the end, hence its place in the tour.
+    end when the parent is the root.  Each edge's distance to the end
+    gives its place in the tour: below ``RULED_SIZE`` edges by pointer
+    jumping over them all (:func:`_rank`), from there on by a sparse ruling
+    set that leaves only about one edge in ``RULER_SPACING`` to pointer
+    jumping (:func:`_rank_by_rulers`).  Both keep two numbers of at most
+    2n in one int64 word, which holds for every tree of at most
+    ``MAX_TOUR_NODES`` = 2^30 - 1 nodes.
+
+    Raises:
+        TreeTooLargeError: the tree has more than ``MAX_TOUR_NODES`` nodes,
+            raised before anything is allocated.
     """
     parent = tree.parent
     n = len(parent)
+    if n > MAX_TOUR_NODES:
+        raise TreeTooLargeError(f"{n} nodes, more than the {MAX_TOUR_NODES} an Euler tour can rank")
     root = tree.root
     m = 2 * (n - 1)  # edges, each ending at one stop after stop 0
     end = 2 * n
 
-    # children grouped by parent, in ascending order within each group; the
-    # root, the one node with parent -1, sorts first
-    order = np.argsort(parent, kind="stable")
-    group = parent[order]
+    # children grouped by parent, in ascending order within each group: one
+    # sort of (parent + 1, child) keys, so the root, with parent -1, is first
+    bits = n.bit_length()
+    key = parent + 1
+    key <<= bits
+    key |= np.arange(n)
+    key.sort()
+    order = key & ((1 << bits) - 1)
+    group = key >> bits
+    group -= 1
+    del key
     nxt = np.empty(end + 1, dtype=np.int64)
     down, up = nxt[:n], nxt[n:end]
     down[:] = np.arange(n, end)  # a leaf turns back up its own edge
@@ -265,23 +390,20 @@ def euler_tour(tree: Tree) -> EulerTour:
     then[then == n + root] = end
     up[order[1:]] = then[1:]
     del order, group, firsts, then, sibling
+    head = int(nxt[root])  # the tour's first edge
+    nxt[root] = nxt[n + root] = nxt[end] = end
 
+    if end < RULED_SIZE:
+        # every link has length 1, and the end none
+        dist = np.ones(end + 1, dtype=np.int64)
+        dist[end] = 0
+        dist = _rank(nxt, dist)
+    else:
+        dist = _rank_by_rulers(nxt, [root, n + root, head])
+    del nxt, down, up
     # the root's own two edges lie in no tour: a distance of m + 1 places them
     # at stop 0, where the root's down edge is written last
-    nxt[root] = nxt[n + root] = nxt[end] = end
-    dist = np.ones(end + 1, dtype=np.int64)
-    dist[root] = dist[n + root] = m + 1
-    dist[end] = 0
-    spare_dist = np.empty_like(dist)
-    spare_nxt = np.empty_like(nxt)
-    for _ in range(m.bit_length()):
-        # in range by construction; with out=, the default mode="raise" copies
-        # through a buffer and ran 2.5x slower
-        np.take(dist, nxt, out=spare_dist, mode="clip")
-        dist += spare_dist
-        np.take(nxt, nxt, out=spare_nxt, mode="clip")
-        nxt, spare_nxt = spare_nxt, nxt
-    del nxt, spare_nxt, spare_dist
+    dist[[root, n + root]] = m + 1
     stop = np.subtract(m + 1, dist[:end], out=dist[:end])  # edge -> its stop
 
     nodes = np.empty(m + 1, dtype=np.int64)
@@ -308,11 +430,15 @@ class LevelAncestorIndex:
     reads: ``first_pos``, ``depth`` and ``nodes`` from the tour, as
     memoryviews of its arrays, and a find-smaller index over the negated
     tour depths.  Neither the tree nor the tour object is kept.
+
+    Raises InvalidKappaError for kappa < 3 before the tour is built, and
+    TreeTooLargeError for a tree :func:`euler_tour` cannot rank.
     """
 
     __slots__ = ("first_pos", "depth", "nodes", "kappa", "_fs")
 
     def __init__(self, tree: Tree, kappa: int = 5):
+        check_kappa(kappa)
         tour = euler_tour(tree)
         self.first_pos = memoryview(tour.first_pos)
         self.depth = memoryview(tour.depth)

@@ -19,12 +19,14 @@ from findlarger import (
     MalformedTreeError,
     MultipleRootsError,
     Tree,
+    TreeTooLargeError,
     UnbalancedParensError,
     UnknownNodeError,
     euler_tour,
     parse_balanced_parens,
     parse_parent_array,
 )
+from findlarger import trees
 from findlarger.formats import write_parens
 from findlarger.gen import random_parent_array
 from findlarger.oracle import naive_la
@@ -32,6 +34,66 @@ from findlarger.oracle import naive_la
 
 def tree_from(parent):
     return parse_parent_array(" ".join(map(str, parent)))
+
+
+def relabelled(parent, seed):
+    """The same tree with its nodes renumbered by a random permutation."""
+    perm = list(range(len(parent)))
+    random.Random(seed).shuffle(perm)
+    out = [0] * len(parent)
+    for v, p in enumerate(parent):
+        out[perm[v]] = -1 if p == -1 else perm[p]
+    return out
+
+
+def reference_tour(parent):
+    """Nodes, depths, first_pos and depth of the Euler tour by a plain
+    iterative DFS that enters children in ascending order."""
+    n = len(parent)
+    children = [[] for _ in range(n)]
+    for v, p in enumerate(parent):
+        if p != -1:
+            children[p].append(v)
+    root = parent.index(-1)
+    first_pos, depth = [0] * n, [0] * n
+    nodes, depths = [root], [0]
+    stack = [[root, 0]]  # a node and the index of its next child
+    while stack:
+        top = stack[-1]
+        v, i = top
+        if i < len(children[v]):
+            top[1] += 1
+            w = children[v][i]
+            depth[w] = depth[v] + 1
+            first_pos[w] = len(nodes)
+            nodes.append(w)
+            depths.append(depth[w])
+            stack.append([w, 0])
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                nodes.append(u)
+                depths.append(depth[u])
+    return nodes, depths, first_pos, depth
+
+
+def shapes(n):
+    """Parent arrays of n nodes: a path, a star and two random trees, with
+    the root at the end, in the middle, first and anywhere."""
+    return [
+        list(range(1, n)) + [-1],
+        [n // 2 if v != n // 2 else -1 for v in range(n)],
+        random_parent_array(n, n, 0.5),
+        relabelled(random_parent_array(n, n + 1, 0.2), n),
+    ]
+
+
+def assert_reference_tour(parent):
+    tour = euler_tour(Tree.from_parents(parent))
+    got = tour.nodes, tour.depths, tour.first_pos, tour.depth
+    for a, b in zip(got, reference_tour(parent)):
+        assert a.tolist() == b
 
 
 class TestParentArrayParsing:
@@ -107,6 +169,24 @@ class TestParentArrayParsing:
                 Tree.from_parents(parent)
             m = re.search(r"loops through node (\d+)", str(err.value))
             assert m and int(m.group(1)) in cycle, str(err.value)
+
+    @pytest.mark.parametrize(
+        "length, tail, through",
+        [(1, 0, 31), (2, 0, 31), (3, 0, 32), (4, 0, 31), (8, 0, 31), (4, 5, 39)],
+    )
+    def test_cycle_error_text(self, length, tail, through):
+        # a root with 30 children, then nodes 31.. form a tail of `tail` nodes
+        # that runs into a cycle of `length` nodes; the named node is where
+        # 2^k steps from node 31 land, k = (n - 1).bit_length(), even when the
+        # pointer jumping reaches its fixed point in fewer rounds
+        parent = [-1] + [0] * 30 + list(range(32, 32 + tail))
+        start = len(parent)
+        parent += [start + (i + 1) % length for i in range(length)]
+        with pytest.raises(CycleError) as err:
+            Tree.from_parents(parent)
+        assert str(err.value) == (
+            f"parent chain from node 31 never reaches a root: it loops through node {through}"
+        )
 
     def test_multiple_roots(self):
         with pytest.raises(MultipleRootsError):
@@ -184,12 +264,7 @@ class TestEulerTour:
     def test_tour_shape(self, n, seed, path_bias, relabel):
         parent = random_parent_array(n, seed, path_bias)
         if relabel:  # the root anywhere, parents higher-numbered as often as not
-            perm = list(range(n))
-            random.Random(seed).shuffle(perm)
-            relabelled = [0] * n
-            for v, p in enumerate(parent):
-                relabelled[perm[v]] = -1 if p == -1 else perm[p]
-            parent = relabelled
+            parent = relabelled(parent, seed)
         tree = tree_from(parent)
         tour = euler_tour(tree)
         assert len(tour.nodes) == len(tour.depths) == 2 * n - 1
@@ -218,6 +293,37 @@ class TestEulerTour:
             if tour.depths[j] > tour.depths[j - 1]:
                 visited[tour.nodes[j - 1]].append(int(tour.nodes[j]))
         assert visited == [[w for w in range(n) if parent[w] == v] for v in range(n)]
+
+    @pytest.mark.parametrize(
+        "n", sorted({(1 << k) + d for k in range(1, 13) for d in (-1, 0, 1)})
+    )
+    def test_matches_reference_dfs(self, n):
+        # sizes on both sides of each power of two move the number of
+        # pointer-jumping rounds and the number of rulers across their boundaries
+        for parent in shapes(n):
+            assert_reference_tour(parent)
+
+    @pytest.mark.parametrize("spacing", [1, 3, 32, 10**9])
+    def test_any_rulers_give_the_reference_tour(self, monkeypatch, spacing):
+        # small trees ranked by rulers too: from most edges rulers, so that
+        # pointer jumping ranks nearly all of them, to none but the list
+        # heads, so that the walk passes every edge
+        monkeypatch.setattr(trees, "RULED_SIZE", 0)
+        monkeypatch.setattr(trees, "RULER_SPACING", spacing)
+        for n in (1, 2, 3, 17, 100, 1000):
+            for parent in shapes(n):
+                assert_reference_tour(parent)
+
+    def test_node_limit(self, monkeypatch):
+        # two numbers of at most 2n share an int64 word up to the limit, not past it
+        n = trees.MAX_TOUR_NODES
+        assert 2 * (2 * n).bit_length() <= 63 < 2 * (2 * n + 2).bit_length()
+        monkeypatch.setattr(trees, "MAX_TOUR_NODES", 4)
+        assert euler_tour(Tree.from_parents([-1, 0, 0, 1])).nodes.tolist() == [0, 1, 3, 1, 0, 2, 0]
+        with pytest.raises(TreeTooLargeError, match=r"^5 nodes"):
+            euler_tour(Tree.from_parents([-1, 0, 0, 1, 1]))
+        with pytest.raises(TreeTooLargeError):
+            LevelAncestorIndex(Tree.from_parents([-1, 0, 0, 1, 1]))
 
     def test_large_path_and_star(self):
         n = 1 << 16
@@ -263,7 +369,11 @@ class TestLevelAncestorIndex:
         assert ref() is None
         assert idx.query(5, 1) == 2
 
-    def test_bad_kappa_propagates(self):
+    def test_bad_kappa_propagates(self, monkeypatch):
+        def no_tour(tree):
+            raise AssertionError("the tour was built before kappa was checked")
+
+        monkeypatch.setattr(trees, "euler_tour", no_tour)
         with pytest.raises(InvalidKappaError):
             LevelAncestorIndex(parse_parent_array("-1 0"), kappa=2)
 
