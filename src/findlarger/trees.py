@@ -81,11 +81,6 @@ class TreeTooLargeError(ValueError):
 # holds for every tree below 2^30 nodes
 MAX_TOUR_NODES = (1 << 30) - 1
 
-# euler_tour ranks 2n edges by rulers from this many on, and fewer by
-# pointer jumping alone, whose few whole-array rounds cost less than a
-# walk of about RULER_SPACING * ln(n) steps; the two met near 2^17 edges
-RULED_SIZE = 1 << 17
-
 # about one edge in this many is a ruler
 RULER_SPACING = 32
 
@@ -300,9 +295,12 @@ def _rank_by_rulers(succ: np.ndarray, heads: list[int]) -> np.ndarray:
     ruler; then the short list of rulers alone is ranked by
     :func:`_rank`.  The walk takes as many steps as the longest run of
     elements between two rulers, about ``RULER_SPACING * ln(len(succ))``
-    for any list not built against that seed.  A ruler's number and a
-    step count share one int64 word, so ``len(succ)`` must stay below
-    2^31.  ``succ`` is overwritten.
+    for any list not built against that seed.  A list that was, and
+    keeps a walker going past twice ``RULER_SPACING`` times the bits of
+    its length, is ranked whole by :func:`_rank` instead, so no list
+    costs more than that many steps on top of pointer jumping.  A ruler's
+    number and a step count share one int64 word, so ``len(succ)`` must
+    stay below 2^31.  ``succ`` is overwritten.
     """
     size = len(succ)
     is_ruler = np.zeros(size, dtype=bool)
@@ -322,14 +320,25 @@ def _rank_by_rulers(succ: np.ndarray, heads: list[int]) -> np.ndarray:
     # a walker stands on element at, tagged with its ruler's number and its steps
     tag = np.arange(count - 1) << shift
     at = succ[rulers[:-1]]
+    # a run between rulers passes this bound with odds below
+    # 1 / (size * RULER_SPACING), unless the list was built against the seed
+    limit = 2 * RULER_SPACING * size.bit_length()
+    steps = 0
     while len(tag):
+        if steps == limit:
+            del place, is_ruler, tag, at
+            dist = np.ones(size, dtype=np.int64)
+            dist[-1] = 0
+            return _rank(succ, dist)
+        steps += 1
         tag += 1
         met = is_ruler[at]
-        done = tag[met]
-        ahead[done >> shift] = place[at[met]] >> shift
-        gap[done >> shift] = done & low
-        passed = ~met
-        tag, at = tag[passed], at[passed]
+        if met.any():  # on most steps of a small list, no walker meets a ruler
+            whose = tag[met] >> shift
+            ahead[whose] = place[at[met]] >> shift
+            gap[whose] = steps
+            passed = ~met
+            tag, at = tag[passed], at[passed]
         place[at] = tag
         at = succ[at]
     dist = _rank(ahead, gap)
@@ -348,12 +357,11 @@ def euler_tour(tree: Tree) -> EulerTour:
     edge of w's first child, or to up(w) when w is a leaf; up(w) leads to
     the down edge of w's next sibling, or else to up(parent), or to the
     end when the parent is the root.  Each edge's distance to the end
-    gives its place in the tour: below ``RULED_SIZE`` edges by pointer
-    jumping over them all (:func:`_rank`), from there on by a sparse ruling
-    set that leaves only about one edge in ``RULER_SPACING`` to pointer
-    jumping (:func:`_rank_by_rulers`).  Both keep two numbers of at most
-    2n in one int64 word, which holds for every tree of at most
-    ``MAX_TOUR_NODES`` = 2^30 - 1 nodes.
+    gives its place in the tour, by a sparse ruling set that leaves only
+    about one edge in ``RULER_SPACING`` to pointer jumping
+    (:func:`_rank_by_rulers`).  The walk and the pointer jumping each keep
+    two numbers of at most 2n in one int64 word, which holds for every
+    tree of at most ``MAX_TOUR_NODES`` = 2^30 - 1 nodes.
 
     Raises:
         TreeTooLargeError: the tree has more than ``MAX_TOUR_NODES`` nodes,
@@ -393,13 +401,7 @@ def euler_tour(tree: Tree) -> EulerTour:
     head = int(nxt[root])  # the tour's first edge
     nxt[root] = nxt[n + root] = nxt[end] = end
 
-    if end < RULED_SIZE:
-        # every link has length 1, and the end none
-        dist = np.ones(end + 1, dtype=np.int64)
-        dist[end] = 0
-        dist = _rank(nxt, dist)
-    else:
-        dist = _rank_by_rulers(nxt, [root, n + root, head])
+    dist = _rank_by_rulers(nxt, [root, n + root, head])
     del nxt, down, up
     # the root's own two edges lie in no tour: a distance of m + 1 places them
     # at stop 0, where the root's down edge is written last

@@ -6,6 +6,7 @@ import random
 import re
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -305,14 +306,51 @@ class TestEulerTour:
 
     @pytest.mark.parametrize("spacing", [1, 3, 32, 10**9])
     def test_any_rulers_give_the_reference_tour(self, monkeypatch, spacing):
-        # small trees ranked by rulers too: from most edges rulers, so that
-        # pointer jumping ranks nearly all of them, to none but the list
-        # heads, so that the walk passes every edge
-        monkeypatch.setattr(trees, "RULED_SIZE", 0)
+        # from most edges rulers, so that pointer jumping ranks nearly all
+        # of them, to none but the list heads, so that the walk passes every edge
         monkeypatch.setattr(trees, "RULER_SPACING", spacing)
         for n in (1, 2, 3, 17, 100, 1000):
             for parent in shapes(n):
                 assert_reference_tour(parent)
+
+    @staticmethod
+    def ranked_lengths(monkeypatch):
+        """The lengths of the lists handed to pointer jumping, as they come."""
+        lengths = []
+        rank = trees._rank
+
+        def counting(succ, dist):
+            lengths.append(len(succ))
+            return rank(succ, dist)
+
+        monkeypatch.setattr(trees, "_rank", counting)
+        return lengths
+
+    def test_walk_leaves_only_the_rulers_to_pointer_jumping(self, monkeypatch):
+        lengths = self.ranked_lengths(monkeypatch)
+        n = 2000
+        for parent in shapes(n):
+            lengths.clear()
+            assert_reference_tour(parent)
+            assert len(lengths) == 1 and lengths[0] < (2 * n + 1) // 16
+
+    def test_a_run_built_against_the_rulers_is_ranked_whole(self, monkeypatch):
+        # every node whose two edges both miss the rulers goes on one path
+        # below the root, so the tour holds a run of about 1.9n edges that
+        # no ruler breaks; the rest hang off the root as leaves
+        lengths = self.ranked_lengths(monkeypatch)
+        n = 2000
+        size = 2 * n + 1
+        is_ruler = np.zeros(size, dtype=bool)
+        is_ruler[np.random.default_rng(0).integers(0, size, size // trees.RULER_SPACING)] = True
+        parent, last = [-1] + [0] * (n - 1), 0
+        for w in range(1, n):
+            if not is_ruler[w] and not is_ruler[n + w]:
+                parent[w], last = last, w
+        below_top = sum(p != 0 for p in parent[1:])  # path nodes but the top one
+        assert 2 * below_top > 2 * trees.RULER_SPACING * size.bit_length()
+        assert_reference_tour(parent)
+        assert lengths == [size]
 
     def test_node_limit(self, monkeypatch):
         # two numbers of at most 2n share an int64 word up to the limit, not past it
