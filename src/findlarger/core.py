@@ -9,6 +9,10 @@ in O(1) time after an O(n) build, using O(n) machine words.  Positions
 with no answer are reported as ``n`` (also exposed as ``bottom``).
 Find-smaller queries are the mirror image and are served by building the
 structure over the negated sequence, see :func:`fs_query`.
+
+Sequence values are stored as int64.  Arrays of positions and offsets
+take the width :func:`position_dtype` picks from the largest value they
+must hold: int32 below 2^31, int64 otherwise.
 """
 
 from __future__ import annotations
@@ -87,13 +91,21 @@ class NotAnIntegerError(TypeError):
 
 
 class InvalidKappaError(ValueError):
-    """Raised when the ladder parameter kappa is below 3."""
+    """Raised when the ladder parameter kappa is not an int of at least 3."""
 
 
 def check_kappa(kappa: int) -> None:
-    """Raise InvalidKappaError unless the ladder parameter is at least 3."""
+    """Raise InvalidKappaError unless the ladder parameter is an int of at least 3."""
+    if not isinstance(kappa, int):
+        raise InvalidKappaError(f"kappa must be an int, got {kappa!r}")
     if kappa < 3:
         raise InvalidKappaError(f"kappa must be at least 3, got {kappa}")
+
+
+def position_dtype(largest: int) -> type[np.signedinteger]:
+    """The width of an array of positions or offsets whose entries are at
+    most ``largest``: int32 when that is below 2^31, else int64."""
+    return np.int32 if largest < 2**31 else np.int64
 
 
 def int64_array(values: Iterable[int]) -> np.ndarray:
@@ -167,7 +179,7 @@ def _sweep_valleys(values: Sequence[int], n: int) -> tuple[np.ndarray, int, int]
     fx = [0] * (n + 1)
     flow = [float("-inf")] * (n + 1)
     fhigh = [float("inf")] * (n + 1)
-    valley = memoryview(np.empty(n + 1, dtype=np.int64))  # every entry is written below
+    valley = memoryview(np.empty(n + 1, dtype=position_dtype(n)))  # every entry is written below
     top = 0
     pushes = 0
     pops = 0
@@ -210,9 +222,10 @@ def _sweep_valleys(values: Sequence[int], n: int) -> tuple[np.ndarray, int, int]
 def compute_valleys(values: Sequence[int]) -> np.ndarray:
     """Valley index for every position, plus the closing entry.
 
-    Returns an int64 ndarray of length ``len(values) + 1`` where entry x
-    is the valley of (x, values[x]) and the final entry is n - 1.  Accepts
-    any integer sequence and runs in O(n).
+    Returns an ndarray of length ``len(values) + 1``, of the width
+    :func:`position_dtype` picks for n, where entry x is the valley of
+    (x, values[x]) and the final entry is n - 1.  Accepts any integer
+    sequence and runs in O(n).
 
     Raises:
         EmptySequenceError: no elements.
@@ -245,8 +258,9 @@ class SpaceReport:
     ``interior_ladder_entries`` excludes the two endpoint ladders, which
     are allowed to reach full height; the remaining ladders obey
     ``interior_ladder_entries <= (kappa - 1 + kappa_prime) * n``.
-    ``words`` counts every stored 64-bit word: the input copy, the jump
-    table, the n + 1 ladder offsets and the ladder entries.
+    ``words`` counts every stored entry: the n values, the n jumps, the
+    n + 1 ladder offsets and the ladder entries.  The values take 8 bytes
+    each; the rest take 4 or 8, see :func:`position_dtype`.
     """
 
     n: int
@@ -281,7 +295,10 @@ class OneLevelFL:
     ``ladder_data[ladder_start[x]:ladder_start[x + 1]]``, so
     ``ladder_start`` has n + 1 entries and its last is
     ``len(ladder_data)``.  ``jump``, ``ladder_start`` and ``ladder_data``
-    are memoryviews of int64 ndarrays, cheaper to read one entry at a time.
+    are memoryviews of ndarrays, cheaper to read one entry at a time.  All
+    three take the width :func:`position_dtype` picks for the larger of n
+    and the number of ladder entries, so int32 short of 2^31 entries; the
+    fill itself computes in int64.
 
     The structure is immutable after construction and safe to share
     between threads.
@@ -295,7 +312,7 @@ class OneLevelFL:
             minimised (8n) at kappa in {4, 5}.
 
     Raises:
-        InvalidKappaError: kappa < 3.
+        InvalidKappaError: kappa is not an int, or is below 3.
         EmptySequenceError / NotOneDifferenceError: bad input sequence.
     """
 
@@ -329,8 +346,9 @@ class OneLevelFL:
         # interior ladders grow with the weight of their valley, as
         # kappa_prime * (weight - 1) - 2 but at least kappa - 1, and never
         # pass the top.  No height exceeds y_max - y_min, so the floor is
-        # cut to it, which keeps any kappa within int64.  The heights are
-        # computed in place: temporary arrays would raise the peak memory.
+        # cut to it, which keeps any kappa within int64.  The heights and
+        # their sums are computed in place, in int64: temporary arrays
+        # would raise the peak memory.
         heights = np.bincount(valley[:n], minlength=n)
         heights *= kappa_prime
         heights -= kappa_prime + 2
@@ -338,11 +356,18 @@ class OneLevelFL:
         cap = y_max - data
         np.minimum(heights, cap, out=heights)
         heights[0], heights[-1] = cap[0], cap[-1]
-        starts = np.zeros(n + 1, dtype=np.int64)
-        heights.cumsum(out=starts[1:])
-        del cap, heights
-        ladder_data = np.empty(starts[n], dtype=np.int64)
-        jump = np.empty(n, dtype=np.int64)  # every entry is written below
+        del cap
+        np.cumsum(heights, out=heights)
+        # offsets and positions take the width of the larger of n and the
+        # total, read from the int64 sum before the arrays are allocated
+        total = int(heights[-1])
+        width = position_dtype(max(n, total))
+        starts = np.empty(n + 1, dtype=width)
+        starts[0] = 0
+        starts[1:] = heights
+        del heights
+        ladder_data = np.empty(total, dtype=width)
+        jump = np.empty(n, dtype=width)  # every entry is written below
 
         # The right-to-left sweep, one block [a, b) at a time.  Position x
         # is at level values[x] - y_min and has the key level * w + x - a,
@@ -362,7 +387,8 @@ class OneLevelFL:
         for a in range(n - 1 - (n - 1) % BLOCK, -1, -BLOCK):
             b = min(a + BLOCK, n)
             m = b - a
-            st = starts[a : b + 1]
+            # in int64: st * w passes 2^31 once the block's offsets pass 2^19
+            st = starts[a : b + 1].astype(np.int64)
             s0 = int(st[0])
             s1 = int(st[m])
             keys = np.empty(m + 1, dtype=np.int64)
@@ -404,7 +430,7 @@ class OneLevelFL:
                 hit += a
                 answers = np.where(hit_level == level, hit, next_at[level])
                 ladder_data[j0:j1] = answers[:k]
-            np.take(valley, answers[k : k + m], out=jump[a:b])
+            jump[a:b] = valley[answers[k : k + m]]
             next_at[lo : hi + 1] = answers[k + m :]
 
         self._values = values
@@ -480,12 +506,13 @@ class OneLevelFL:
         )
 
     def entry_count(self) -> int:
-        """Stored 64-bit words, as counted by :meth:`space_report`."""
+        """Stored entries, as counted by :meth:`space_report`."""
         return self.space_report().words
 
     def resident_bytes(self) -> int:
-        """Bytes held by the stored arrays (8 per 64-bit word)."""
-        return 8 * self.entry_count()
+        """Bytes held by the stored arrays: the values, jumps, ladder
+        offsets and ladder entries."""
+        return sum(a.nbytes for a in (self._values, self.jump, self.ladder_start, self.ladder_data))
 
 
 def fs_query(structure: OneLevelFL, x: int, d: int) -> int:

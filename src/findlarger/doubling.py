@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import validate_sequence
+from .core import position_dtype, validate_sequence
 
 __all__ = ["DoublingFL"]
 
@@ -21,8 +21,9 @@ __all__ = ["DoublingFL"]
 class DoublingFL:
     """Find-larger index with one table row per power-of-two rise.
 
-    ``table`` is an int64 ndarray of ``levels`` rows of n + 1 entries;
-    ``query`` reads it through a 2-D memoryview.
+    ``table`` is an ndarray of ``levels`` rows of n + 1 positions, of the
+    width :func:`~findlarger.core.position_dtype` picks for n (int32 below
+    2^31); ``query`` reads it through a 2-D memoryview.
     """
 
     __slots__ = ("n", "levels", "y_min", "y_max", "bottom", "table", "_table", "_values")
@@ -39,9 +40,10 @@ class DoublingFL:
 
         # level 0 by a right-to-left sweep over "next position at value v",
         # written into the table's first row
-        table = np.empty((levels, n + 1), dtype=np.int64)
+        width = position_dtype(n)
+        table = np.empty((levels, n + 1), dtype=width)
         table[:, n] = n  # bottom is absorbing
-        next_at = memoryview(np.full(spread + 2, n, dtype=np.int64))
+        next_at = memoryview(np.full(spread + 2, n, dtype=width))
         row0 = memoryview(table[0])
         off = -y_min
         for x in range(n - 1, -1, -1):
@@ -90,4 +92,5 @@ class DoublingFL:
         return self.table.size
 
     def resident_bytes(self) -> int:
-        return self.table.nbytes + 8 * self.n
+        """Bytes held by the table and the values."""
+        return self.table.nbytes + self._values.nbytes

@@ -13,7 +13,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import NotAnIntegerError, OneLevelFL, ValueOutOfRangeError, check_kappa, int64_array
+from .core import (
+    NotAnIntegerError,
+    OneLevelFL,
+    ValueOutOfRangeError,
+    check_kappa,
+    int64_array,
+    position_dtype,
+)
 
 __all__ = [
     "TreeFormatError",
@@ -234,8 +241,12 @@ class EulerTour:
     first entry and again after each child returns, and children are
     visited in ascending order.  ``first_pos[v]`` is the earliest stop at
     v and ``depth[v]`` its distance from the root.  Adjacent depths differ
-    by exactly one, so ``depths`` is 1-difference.  All four are int64
-    ndarrays.  Two tours are equal when all four arrays are.
+    by exactly one, so ``depths`` is 1-difference.  ``depths`` is an int64
+    ndarray, as every sequence is; ``nodes``, ``first_pos`` and ``depth``
+    hold numbers below 2n and take the width
+    :func:`~findlarger.core.position_dtype` picks, int32 for every tree
+    :func:`euler_tour` accepts.  Two tours are equal when all four arrays
+    are.
     """
 
     nodes: np.ndarray
@@ -408,7 +419,8 @@ def euler_tour(tree: Tree) -> EulerTour:
     dist[[root, n + root]] = m + 1
     stop = np.subtract(m + 1, dist[:end], out=dist[:end])  # edge -> its stop
 
-    nodes = np.empty(m + 1, dtype=np.int64)
+    width = position_dtype(m)
+    nodes = np.empty(m + 1, dtype=width)
     depths = np.empty(m + 1, dtype=np.int64)
     nodes[stop[n:]] = parent  # up(w) returns to w's parent
     nodes[stop[:n]] = np.arange(n)
@@ -416,8 +428,9 @@ def euler_tour(tree: Tree) -> EulerTour:
     depths[stop[:n]] = 1
     depths[0] = 0
     np.cumsum(depths, out=depths)
-    first_pos = stop[:n].copy()
-    depth = depths[first_pos]
+    first_pos = stop[:n].astype(width)
+    del dist, stop
+    depth = depths[first_pos].astype(width)
     return EulerTour(nodes=nodes, depths=depths, first_pos=first_pos, depth=depth)
 
 
@@ -430,11 +443,13 @@ class LevelAncestorIndex:
     depth(v) - 1, depth(v) - 2, ..., the first such stop has depth
     exactly d and holds the ancestor.  It keeps only what ``query``
     reads: ``first_pos``, ``depth`` and ``nodes`` from the tour, as
-    memoryviews of its arrays, and a find-smaller index over the negated
-    tour depths.  Neither the tree nor the tour object is kept.
+    memoryviews of its int32 arrays (below 2^30 by ``MAX_TOUR_NODES``),
+    and a find-smaller index over the negated tour depths, which stay
+    int64.  Neither the tree nor the tour object is kept.
 
-    Raises InvalidKappaError for kappa < 3 before the tour is built, and
-    TreeTooLargeError for a tree :func:`euler_tour` cannot rank.
+    Raises InvalidKappaError for a kappa that is not an int of at least 3
+    before the tour is built, and TreeTooLargeError for a tree
+    :func:`euler_tour` cannot rank.
     """
 
     __slots__ = ("first_pos", "depth", "nodes", "kappa", "_fs")

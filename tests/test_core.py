@@ -11,6 +11,7 @@ from findlarger import (
     DoublingFL,
     EmptySequenceError,
     InvalidKappaError,
+    LevelAncestorIndex,
     NotOneDifferenceError,
     OneLevelFL,
     ValueOutOfRangeError,
@@ -18,9 +19,10 @@ from findlarger import (
     validate_sequence,
 )
 from findlarger.bench import ScanFL
-from findlarger.core import BLOCK, CHUNK, compute_valleys
+from findlarger.core import BLOCK, CHUNK, compute_valleys, position_dtype
 from findlarger.gen import random_walk_values
 from findlarger.oracle import naive_fl, naive_fs
+from findlarger.trees import parse_parent_array
 
 from conftest import full_grid, one_diff_lists
 
@@ -122,6 +124,13 @@ class TestKappa:
         for k in (2, 1, 0, -1):
             with pytest.raises(InvalidKappaError):
                 OneLevelFL(EXAMPLE, k)
+
+    @pytest.mark.parametrize("kappa", [4.5, 5.0, "5"])
+    def test_kappa_that_is_not_an_int_rejected(self, kappa):
+        with pytest.raises(InvalidKappaError):
+            OneLevelFL(EXAMPLE, kappa)
+        with pytest.raises(InvalidKappaError):
+            LevelAncestorIndex(parse_parent_array("-1 0 0 1"), kappa)
 
     def test_kappa_prime_derivation(self):
         # ceil((2k+2)/(k-2)); per-position bound k-1+k' bottoms out at 8
@@ -247,11 +256,33 @@ class TestBlockedFill:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            kept = 8 * (len(s.ladder_data) + len(s.jump) + len(s.ladder_start))
-            # the valley sweep and the offsets take about 2 words per position
-            # beyond what the index keeps, and a piece of CHUNK entries about
-            # 1 more; a long ladder searched whole would take 6 more
+            kept = s.resident_bytes() - values.nbytes  # the values were allocated before
+            # the valleys and the heights take about 20 bytes per position
+            # beyond what the index keeps, more than a piece of CHUNK entries
+            # adds later; a long ladder searched whole would take 48 more
             assert peak - kept < 5 * 8 * n
+
+
+class TestPositionWidth:
+    """Positions and offsets are int32 short of 2^31, filled in int64."""
+
+    def test_rule_at_the_int32_limit(self):
+        assert position_dtype(0) is np.int32
+        assert position_dtype(2**31 - 1) is np.int32
+        assert position_dtype(2**31) is np.int64
+        assert position_dtype(2**62) is np.int64
+
+    @pytest.mark.parametrize("n, kappa", [(1 << 17, 5), (3 * BLOCK + 5, 2**62)])
+    def test_int32_arrays_equal_the_per_position_loop(self, n, kappa):
+        values = random_walk_values(n, seed=n)
+        s = OneLevelFL(values, kappa)
+        starts, ladder_data, jump = reference_build(values, kappa)
+        # a needle is starts[x] * (BLOCK + 1) plus a little: past 2^31 here,
+        # so a fill computed in int32 would wrap
+        assert starts[-1] * (BLOCK + 1) >= 2**31
+        for got, want in ((s.ladder_start, starts), (s.ladder_data, ladder_data), (s.jump, jump)):
+            assert np.asarray(got).dtype == np.int32
+            assert got.tobytes() == np.array(want, dtype=np.int32).tobytes()
 
 
 class TestQuery:
@@ -351,7 +382,9 @@ class TestSpaceAndStats:
         assert 0 <= st_.stack_pops <= st_.stack_pushes <= s.n
         assert st_.ladder_copies == len(s.ladder_data)
 
-    def test_resident_bytes_are_words_times_8(self):
+    def test_resident_bytes_are_the_arrays_nbytes(self):
         s = OneLevelFL(EXAMPLE, 5)
-        assert s.resident_bytes() == 8 * s.space_report().words
-        assert s.entry_count() == s.space_report().words
+        r = s.space_report()
+        # 6 int64 values; 6 jumps, 7 offsets and 5 ladder entries in int32
+        assert s.resident_bytes() == 8 * 6 + 4 * (6 + 7 + 5) == 120
+        assert s.entry_count() == r.words == 6 + 6 + 7 + 5

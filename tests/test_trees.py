@@ -415,6 +415,20 @@ class TestLevelAncestorIndex:
         with pytest.raises(InvalidKappaError):
             LevelAncestorIndex(parse_parent_array("-1 0"), kappa=2)
 
+    def test_int32_arrays_on_the_deepest_tour(self):
+        n = 1 << 16
+        tree = Tree.from_parents(np.arange(-1, n - 1))  # a path: node v at depth v
+        idx = LevelAncestorIndex(tree)
+        for view in (idx.first_pos, idx.depth, idx.nodes):
+            assert np.asarray(view).dtype == np.int32
+        assert idx.depth.tolist() == list(range(n))
+        assert all(idx.query(v, v) == v for v in range(n))
+        rng = random.Random(16)
+        deep = [n - 1, n - 2] + [rng.randrange(n) for _ in range(60)]
+        for v in deep:
+            for d in (0, v // 2, v, rng.randrange(v + 1)):
+                assert idx.query(v, d) == naive_la(tree, v, d) == d
+
     def test_path_and_star_and_singleton(self):
         for parent in ([-1] + list(range(30)), [-1] + [0] * 30, [-1]):
             tree = tree_from(parent)
