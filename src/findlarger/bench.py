@@ -23,17 +23,14 @@ from .doubling import DoublingFL
 
 __all__ = [
     "CSV_HEADER",
-    "STRUCTURE_NAMES",
+    "STRUCTURES",
     "BenchRecord",
     "ScanFL",
     "make_queries",
-    "build_structure",
     "run_bench",
 ]
 
 CSV_HEADER = "structure_name,n,kappa,build_ns,mean_query_ns,p99_batch_mean_ns,entries,bytes,seed"
-
-STRUCTURE_NAMES = ("onelevel", "doubling", "naive")
 
 
 @dataclass(frozen=True)
@@ -109,14 +106,12 @@ def make_queries(
     return xs, ys
 
 
-def build_structure(name: str, seq: np.ndarray, kappa: int):
-    if name == "onelevel":
-        return OneLevelFL(seq, kappa)
-    if name == "doubling":
-        return DoublingFL(seq)
-    if name == "naive":
-        return ScanFL(seq)
-    raise ValueError(f"unknown structure {name!r}; pick from {', '.join(STRUCTURE_NAMES)}")
+# name -> constructor taking the validated sequence and kappa
+STRUCTURES = {
+    "onelevel": OneLevelFL,
+    "doubling": lambda seq, kappa: DoublingFL(seq),
+    "naive": lambda seq, kappa: ScanFL(seq),
+}
 
 
 def _time_queries(structure, xs, ys, batch: int) -> tuple[float, float]:
@@ -151,6 +146,9 @@ def run_bench(
     Returns the records plus any answer disagreements on the first
     ``agreement_count`` queries (empty list = all structures agree).
     """
+    for name in structures:
+        if name not in STRUCTURES:
+            raise ValueError(f"unknown structure {name!r}; pick from {', '.join(STRUCTURES)}")
     seq = validate_sequence(values)
     xs, ys = make_queries(seq, queries, seed)
     k = min(agreement_count, queries)
@@ -160,7 +158,7 @@ def run_bench(
     mismatches: list[dict] = []
     for name in structures:
         t0 = time.perf_counter_ns()
-        structure = build_structure(name, seq, kappa)
+        structure = STRUCTURES[name](seq, kappa)
         build_ns = time.perf_counter_ns() - t0
         # untimed warmup, then the timed batches
         for x, y in zip(xs[:1000], ys[:1000]):

@@ -13,10 +13,11 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .bench import CSV_HEADER, STRUCTURE_NAMES, run_bench
+from .bench import CSV_HEADER, STRUCTURES, run_bench
 from .core import OneLevelFL, compute_valleys, validate_sequence
 from .formats import FORMATS, read_sequence, read_tree, write_parens, write_parent_array, write_sequence
-from .gen import GenSpec, random_tree, random_walk_values
+from .gen import random_parent_array, random_walk_values
+from .trees import Tree
 from .verify import check_sequence, check_tree
 
 INSPECT_LIMIT = 10_000
@@ -37,24 +38,14 @@ def _out_stream(path: str | None):
 
 def cmd_gen(args) -> int:
     if args.format == "seq":
-        spec = GenSpec(kind="sequence", n=args.n, seed=args.seed, bias=args.bias)
-        values = random_walk_values(spec.n, spec.seed, spec.bias)
-        with _out_stream(args.out) as out:
-            write_sequence(values, out)
+        instance = random_walk_values(args.n, args.seed, args.bias)
+        write = write_sequence
     else:
-        spec = GenSpec(
-            kind="tree",
-            n=args.n,
-            seed=args.seed,
-            path_bias=args.path_bias,
-            max_degree=args.max_degree,
-        )
-        tree = random_tree(spec)
-        with _out_stream(args.out) as out:
-            if args.format == "parent":
-                write_parent_array(tree, out)
-            else:
-                write_parens(tree, out)
+        parent = random_parent_array(args.n, args.seed, args.path_bias, args.max_degree)
+        instance = Tree.from_parents(parent)
+        write = write_parent_array if args.format == "parent" else write_parens
+    with _out_stream(args.out) as out:
+        write(instance, out)
     return 0
 
 
@@ -79,8 +70,8 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     structures = [s.strip() for s in args.structures.split(",") if s.strip()]
     for s in structures:
-        if s not in STRUCTURE_NAMES:
-            raise ValueError(f"unknown structure {s!r}; pick from {', '.join(STRUCTURE_NAMES)}")
+        if s not in STRUCTURES:
+            raise ValueError(f"unknown structure {s!r}; pick from {', '.join(STRUCTURES)}")
     if args.input is not None:
         values = read_sequence(_read_text(args.input))
     else:
@@ -101,8 +92,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    if args.format != "seq":
-        raise ValueError("inspect supports --format seq only")
     values = read_sequence(_read_text(args.input))
     if len(values) > INSPECT_LIMIT:
         raise ValueError(f"refusing to dump n={len(values)} > {INSPECT_LIMIT} positions")

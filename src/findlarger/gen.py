@@ -3,67 +3,55 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .trees import Tree
-
-__all__ = ["BadSpecError", "GenSpec", "random_walk_values", "random_parent_array", "random_tree"]
+__all__ = ["BadSpecError", "random_walk_values", "random_parent_array"]
 
 
 class BadSpecError(ValueError):
-    """Generator parameters out of range."""
-
-
-@dataclass(frozen=True)
-class GenSpec:
-    """What to generate.
-
-    kind: "sequence" for a 1-difference random walk, "tree" for a random
-    rooted tree given as a parent array.
-    bias: sequences only; shifts step weights so the walk drifts up
-    (positive) or down (negative).  Must lie in (-1, 1).
-    path_bias: trees only; probability that a node chains to its
-    predecessor, stretching the tree towards a path.
-    max_degree: trees only; cap on children per node.
-    """
-
-    kind: str
-    n: int
-    seed: int = 0
-    bias: float = 0.0
-    path_bias: float = 0.5
-    max_degree: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("sequence", "tree"):
-            raise BadSpecError(f"kind must be 'sequence' or 'tree', got {self.kind!r}")
-        if self.n < 1:
-            raise BadSpecError(f"n must be at least 1, got {self.n}")
-        if not -1.0 < self.bias < 1.0:
-            raise BadSpecError(f"bias must lie in (-1, 1), got {self.bias}")
-        if not 0.0 <= self.path_bias <= 1.0:
-            raise BadSpecError(f"path_bias must lie in [0, 1], got {self.path_bias}")
-        if self.max_degree is not None and self.max_degree < 1:
-            raise BadSpecError(f"max_degree must be at least 1, got {self.max_degree}")
+    """Generator arguments out of range."""
 
 
 def random_walk_values(n: int, seed: int = 0, bias: float = 0.0) -> list[int]:
-    """A 1-difference walk of length n from 0, steps in {-1, 0, +1}."""
+    """A 1-difference walk of length n >= 1 from 0, steps in {-1, 0, +1}.
+
+    bias, in (-1, 1), shifts the step weights so the walk drifts up
+    (positive) or down (negative).
+
+    Raises:
+        BadSpecError: n or bias out of range.
+    """
+    if n < 1:
+        raise BadSpecError(f"n must be at least 1, got {n}")
+    if not -1.0 < bias < 1.0:
+        raise BadSpecError(f"bias must lie in (-1, 1), got {bias}")
     rng = random.Random(seed)
     values = [0] * n
-    if n > 1:
-        steps = rng.choices((-1, 0, 1), weights=(1.0 - bias, 1.0, 1.0 + bias), k=n - 1)
-        v = 0
-        for i, s in enumerate(steps, start=1):
-            v += s
-            values[i] = v
+    steps = rng.choices((-1, 0, 1), weights=(1.0 - bias, 1.0, 1.0 + bias), k=n - 1)
+    v = 0
+    for i, s in enumerate(steps, start=1):
+        v += s
+        values[i] = v
     return values
 
 
 def random_parent_array(
     n: int, seed: int = 0, path_bias: float = 0.5, max_degree: int | None = None
 ) -> list[int]:
-    """Random rooted tree, node 0 the root, parents always lower-numbered."""
+    """Random rooted tree on n >= 1 nodes, node 0 the root, parents always lower-numbered.
+
+    path_bias, in [0, 1], is the probability that a node chains to its
+    predecessor, stretching the tree towards a path.  max_degree, None
+    or at least 1, caps the children per node.
+
+    Raises:
+        BadSpecError: n, path_bias or max_degree out of range.
+    """
+    if n < 1:
+        raise BadSpecError(f"n must be at least 1, got {n}")
+    if not 0.0 <= path_bias <= 1.0:
+        raise BadSpecError(f"path_bias must lie in [0, 1], got {path_bias}")
+    if max_degree is not None and max_degree < 1:
+        raise BadSpecError(f"max_degree must be at least 1, got {max_degree}")
     rng = random.Random(seed)
     parent = [-1] * n
     degree = [0] * n
@@ -83,8 +71,3 @@ def random_parent_array(
         parent[v] = p
         degree[p] += 1
     return parent
-
-
-def random_tree(spec: GenSpec) -> Tree:
-    parent = random_parent_array(spec.n, spec.seed, spec.path_bias, spec.max_degree)
-    return Tree.from_parents(parent)

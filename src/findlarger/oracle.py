@@ -8,7 +8,6 @@ checked against each other.  Costs are O(n) to O(n^2) per call.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -17,9 +16,8 @@ from .core import validate_sequence
 from .trees import DepthOutOfRangeError, Tree
 
 __all__ = [
-    "OracleConfig",
+    "MAX_N_EXHAUSTIVE",
     "TooLargeError",
-    "DEFAULT_CONFIG",
     "naive_fl",
     "naive_fs",
     "naive_valley",
@@ -32,15 +30,7 @@ class TooLargeError(ValueError):
     """Raised when an exhaustive enumeration would be astronomically big."""
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Size limits for the exhaustive generators."""
-
-    max_n_exhaustive: int = 12
-    value_alphabet: tuple[int, ...] = (0, 1, 2, 3)
-
-
-DEFAULT_CONFIG = OracleConfig()
+MAX_N_EXHAUSTIVE = 12  # 3^11 = 177147 sequences
 
 
 def naive_fl(values: Sequence[int], x: int, y: int) -> int:
@@ -74,9 +64,13 @@ def naive_valley(values: Sequence[int], x: int, y: int) -> int:
     xb is values[xb]).  The valley is the largest xb in 0..x whose value
     equals the minimum over all reachable positions.
 
-    Requires 0 <= x < len(values) and y >= values[x].
+    Raises:
+        ValueError: x outside [0, len(values)) or y below values[x].
     """
-    assert 0 <= x < len(values) and y >= values[x]
+    if not 0 <= x < len(values):
+        raise ValueError(f"x={x} lies outside [0, {len(values)})")
+    if y < values[x]:
+        raise ValueError(f"y={y} lies below values[{x}]={values[x]}")
     reachable = []
     for xb in range(x + 1):
         if values[xb] > y:
@@ -103,21 +97,17 @@ def naive_la(tree: Tree, v: int, d: int) -> int:
     return u
 
 
-def enumerate_sequences(
-    n: int, start: int = 0, config: OracleConfig = DEFAULT_CONFIG
-) -> Iterator[np.ndarray]:
+def enumerate_sequences(n: int, start: int = 0) -> Iterator[np.ndarray]:
     """Yield all 3^(n-1) 1-difference sequences of length n starting at start.
 
     Raises:
-        TooLargeError: n exceeds config.max_n_exhaustive.
+        TooLargeError: n exceeds MAX_N_EXHAUSTIVE.
         ValueError: n < 1.
     """
     if n < 1:
         raise ValueError(f"sequence length must be at least 1, got {n}")
-    if n > config.max_n_exhaustive:
-        raise TooLargeError(
-            f"n={n} would enumerate 3^{n - 1} sequences; limit is {config.max_n_exhaustive}"
-        )
+    if n > MAX_N_EXHAUSTIVE:
+        raise TooLargeError(f"n={n} would enumerate 3^{n - 1} sequences; limit is {MAX_N_EXHAUSTIVE}")
     for steps in itertools.product((-1, 0, 1), repeat=n - 1):
         values = [start]
         v = start

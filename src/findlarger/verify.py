@@ -8,7 +8,7 @@ failure can be replayed from the report alone.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import OneLevelFL, validate_sequence
 from .oracle import naive_fl, naive_la
@@ -19,12 +19,52 @@ __all__ = ["MISMATCH_LIMIT", "check_sequence", "check_tree"]
 MISMATCH_LIMIT = 10
 
 
-def _grid(values: Sequence[int]) -> tuple[range, range]:
-    # one step beyond every boundary on all four sides
-    n = len(values)
-    lo = min(values)
-    hi = max(values)
-    return range(-1, n + 1), range(lo - 1, hi + 2)
+def _compare(
+    header: dict,
+    keys: tuple[str, str, str],
+    mode: str,
+    all_pairs: Iterable[tuple[int, int]],
+    draw: Callable[[random.Random], tuple[int, int]],
+    queries: int,
+    seed: int,
+    query: Callable[[int, int], int],
+    oracle: Callable[[int, int], int],
+) -> dict:
+    """Ask ``query`` and ``oracle`` the same pairs and report where they differ.
+
+    Exhaustive mode asks every pair of ``all_pairs``; random mode asks
+    ``queries`` pairs, each taken by one ``draw`` from ``Random(seed)``.
+    ``keys`` names the query kind and its two arguments in each
+    mismatch; ``header`` opens the report and holds its ``kappa``.
+    """
+    if mode == "exhaustive":
+        pairs = all_pairs
+    elif mode == "random":
+        rng = random.Random(seed)
+        pairs = (draw(rng) for _ in range(queries))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    kind, a_key, b_key = keys
+    mismatches: list[dict] = []
+    total = bad = 0
+    for a, b in pairs:
+        total += 1
+        got = query(a, b)
+        want = oracle(a, b)
+        if got != want:
+            bad += 1
+            if len(mismatches) < MISMATCH_LIMIT:
+                mismatches.append(
+                    {"kind": kind, a_key: a, b_key: b, "expected": want, "got": got, "kappa": header["kappa"]}
+                )
+    return {
+        **header,
+        "mode": mode,
+        "total_queries": total,
+        "mismatch_count": bad,
+        "mismatches": mismatches,
+        "pass": bad == 0,
+    }
 
 
 def check_sequence(
@@ -45,40 +85,21 @@ def check_sequence(
     seq = validate_sequence(values)
     if structure is None:
         structure = OneLevelFL(seq, kappa)
-    else:
-        kappa = structure.kappa
     values = seq.tolist()  # the oracle scans plain integers
-    xs, ys = _grid(values)
-    mismatches: list[dict] = []
-    total = 0
-    if mode == "exhaustive":
-        pairs = ((x, y) for x in xs for y in ys)
-    elif mode == "random":
-        rng = random.Random(seed)
-        pairs = ((rng.randrange(xs.start, xs.stop), rng.randrange(ys.start, ys.stop)) for _ in range(queries))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    bad = 0
-    for x, y in pairs:
-        total += 1
-        got = structure.query(x, y)
-        want = naive_fl(values, x, y)
-        if got != want:
-            bad += 1
-            if len(mismatches) < MISMATCH_LIMIT:
-                mismatches.append(
-                    {"kind": "fl", "x": x, "y": y, "expected": want, "got": got, "kappa": kappa}
-                )
-    return {
-        "kind": "sequence",
-        "n": len(seq),
-        "kappa": kappa,
-        "mode": mode,
-        "total_queries": total,
-        "mismatch_count": bad,
-        "mismatches": mismatches,
-        "pass": bad == 0,
-    }
+    # one step beyond every boundary on all four sides
+    xs = range(-1, len(values) + 1)
+    ys = range(min(values) - 1, max(values) + 2)
+    return _compare(
+        {"kind": "sequence", "n": len(seq), "kappa": structure.kappa},
+        ("fl", "x", "y"),
+        mode,
+        ((x, y) for x in xs for y in ys),
+        lambda rng: (rng.randrange(xs.start, xs.stop), rng.randrange(ys.start, ys.stop)),
+        queries,
+        seed,
+        structure.query,
+        lambda x, y: naive_fl(values, x, y),
+    )
 
 
 def check_tree(
@@ -89,43 +110,28 @@ def check_tree(
     seed: int = 0,
     index: LevelAncestorIndex | None = None,
 ) -> dict:
-    """Compare level-ancestor queries against the parent-walking oracle."""
+    """Compare level-ancestor queries against the parent-walking oracle.
+
+    Exhaustive mode asks every (v, d) with 0 <= d <= depth(v); random
+    mode draws a node, then a depth on its path to the root.
+    """
     if index is None:
         index = LevelAncestorIndex(tree, kappa)
-    else:
-        kappa = index.kappa
     depth = index.depth
     n = tree.n_nodes
-    mismatches: list[dict] = []
-    total = 0
-    if mode == "exhaustive":
-        pairs = ((v, d) for v in range(n) for d in range(depth[v] + 1))
-    elif mode == "random":
-        rng = random.Random(seed)
-        pairs = (
-            (v, rng.randrange(depth[v] + 1))
-            for v in (rng.randrange(n) for _ in range(queries))
-        )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    bad = 0
-    for v, d in pairs:
-        total += 1
-        got = index.query(v, d)
-        want = naive_la(tree, v, d)
-        if got != want:
-            bad += 1
-            if len(mismatches) < MISMATCH_LIMIT:
-                mismatches.append(
-                    {"kind": "la", "v": v, "d": d, "expected": want, "got": got, "kappa": kappa}
-                )
-    return {
-        "kind": "tree",
-        "n": n,
-        "kappa": kappa,
-        "mode": mode,
-        "total_queries": total,
-        "mismatch_count": bad,
-        "mismatches": mismatches,
-        "pass": bad == 0,
-    }
+
+    def draw(rng: random.Random) -> tuple[int, int]:
+        v = rng.randrange(n)
+        return v, rng.randrange(depth[v] + 1)
+
+    return _compare(
+        {"kind": "tree", "n": n, "kappa": index.kappa},
+        ("la", "v", "d"),
+        mode,
+        ((v, d) for v in range(n) for d in range(depth[v] + 1)),
+        draw,
+        queries,
+        seed,
+        index.query,
+        lambda v, d: naive_la(tree, v, d),
+    )

@@ -12,7 +12,7 @@ from findlarger.formats import (
     write_parent_array,
     write_sequence,
 )
-from findlarger.gen import BadSpecError, GenSpec, random_parent_array, random_walk_values
+from findlarger.gen import BadSpecError, random_parent_array, random_walk_values
 
 
 class TestSequenceFormat:
@@ -59,22 +59,22 @@ class TestTreeFormat:
         assert buf.getvalue() == "5\n-1 0 0 2 2\n"
 
 
-class TestGenSpec:
+class TestGeneratorArguments:
     def test_valid(self):
-        GenSpec(kind="sequence", n=10, bias=0.5)
-        GenSpec(kind="tree", n=10, path_bias=1.0, max_degree=2)
+        random_walk_values(10, bias=0.5)
+        random_parent_array(10, path_bias=1.0, max_degree=2)
 
     def test_invalid(self):
         with pytest.raises(BadSpecError):
-            GenSpec(kind="heap", n=5)
+            random_walk_values(0)
         with pytest.raises(BadSpecError):
-            GenSpec(kind="sequence", n=0)
+            random_walk_values(5, bias=1.0)
         with pytest.raises(BadSpecError):
-            GenSpec(kind="sequence", n=5, bias=1.0)
+            random_parent_array(0)
         with pytest.raises(BadSpecError):
-            GenSpec(kind="tree", n=5, path_bias=-0.1)
+            random_parent_array(5, path_bias=-0.1)
         with pytest.raises(BadSpecError):
-            GenSpec(kind="tree", n=5, max_degree=0)
+            random_parent_array(5, max_degree=0)
 
 
 class TestWalkGenerator:

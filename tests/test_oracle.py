@@ -5,7 +5,6 @@ import pytest
 
 from findlarger import parse_parent_array
 from findlarger.oracle import (
-    OracleConfig,
     TooLargeError,
     enumerate_sequences,
     naive_fl,
@@ -51,10 +50,12 @@ def test_naive_valley_frozen():
 
 
 def test_naive_valley_rejects_bad_point():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         naive_valley(V, 6, 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         naive_valley(V, 0, 0)  # y below the landscape at x
+    with pytest.raises(ValueError):
+        naive_valley([0, 5], 1, 2)
 
 
 def test_naive_la_frozen():
@@ -88,6 +89,3 @@ def test_enumerate_limits():
         next(enumerate_sequences(13, 0))
     with pytest.raises(ValueError):
         next(enumerate_sequences(0, 0))
-    small = OracleConfig(max_n_exhaustive=4)
-    with pytest.raises(TooLargeError):
-        next(enumerate_sequences(5, 0, small))

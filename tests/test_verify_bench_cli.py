@@ -6,10 +6,10 @@ import json
 
 import pytest
 
-from findlarger import LevelAncestorIndex, OneLevelFL, parse_parent_array, validate_sequence
+from findlarger import LevelAncestorIndex, OneLevelFL, Tree, parse_parent_array, validate_sequence
 from findlarger.bench import CSV_HEADER, BenchRecord, ScanFL, make_queries, run_bench
 from findlarger.cli import main
-from findlarger.gen import random_walk_values
+from findlarger.gen import random_parent_array, random_walk_values
 from findlarger.oracle import naive_fl
 from findlarger.verify import check_sequence, check_tree
 
@@ -51,6 +51,17 @@ class TestCheckSequence:
         with pytest.raises(ValueError):
             check_sequence(WALK, mode="fuzz")
 
+    def test_seed_replays_the_same_random_queries(self):
+        s = OneLevelFL(WALK, 5)
+        for i in range(len(s.ladder_data)):
+            s.ladder_data[i] = 0
+        report = check_sequence(WALK, mode="random", queries=500, seed=3, structure=s)
+        # x is drawn before y for each query; these are the draws of Random(3)
+        assert report["mismatch_count"] == 176
+        assert report["mismatches"][0] == {
+            "kind": "fl", "x": 120, "y": -3, "expected": 194, "got": 0, "kappa": 5
+        }
+
 
 class TestCheckTree:
     TREE = parse_parent_array("9\n-1 0 1 1 0 3 4 6 6")
@@ -69,6 +80,33 @@ class TestCheckTree:
         assert report["pass"] is False
         m = report["mismatches"][0]
         assert set(m) == {"kind", "v", "d", "expected", "got", "kappa"}
+
+    @staticmethod
+    def broken_index():
+        tree = Tree.from_parents(random_parent_array(50, seed=3))
+        idx = LevelAncestorIndex(tree)
+        for i in range(len(idx.nodes)):
+            idx.nodes[i] = 0  # every tour position claims the root
+        return tree, idx
+
+    def test_mismatch_list_capped_at_10(self):
+        tree, idx = self.broken_index()
+        report = check_tree(tree, index=idx)
+        assert report["mismatch_count"] == 248
+        assert len(report["mismatches"]) == 10
+
+    def test_bad_mode(self):
+        with pytest.raises(ValueError):
+            check_tree(self.TREE, mode="fuzz")
+
+    def test_seed_replays_the_same_random_queries(self):
+        tree, idx = self.broken_index()
+        report = check_tree(tree, mode="random", queries=500, seed=3, index=idx)
+        # v is drawn before d for each query; these are the draws of Random(3)
+        assert report["mismatch_count"] == 393
+        assert report["mismatches"][0] == {
+            "kind": "la", "v": 15, "d": 9, "expected": 15, "got": 0, "kappa": 5
+        }
 
 
 class TestBench:
