@@ -113,7 +113,7 @@ def cmd_inspect(args) -> int:
     row("Values", seq)
     row("Valley", valley)
     row("Weight", weight)
-    row("Jump", s.jump)
+    row("JumpOffset", s.jump)
     starts = s.ladder_start
     heights = [starts[x + 1] - starts[x] for x in range(s.n)]
     row("LadderStart", starts[: s.n])

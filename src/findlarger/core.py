@@ -278,7 +278,7 @@ class OneLevelFL:
 
     The constructor runs the whole O(n) build: a valley sweep, per-valley
     weights, ladders of partial find-larger answers, and a jump table that
-    sends any query too tall for its own ladder to a ladder tall enough
+    sends any query too tall for its own ladder into a ladder tall enough
     to hold it.  ``query`` then answers in O(1).
 
     Ladders and jumps are filled by one right-to-left sweep over blocks of
@@ -294,11 +294,16 @@ class OneLevelFL:
     All ladders share one array, ``ladder_data``; ladder x spans
     ``ladder_data[ladder_start[x]:ladder_start[x + 1]]``, so
     ``ladder_start`` has n + 1 entries and its last is
-    ``len(ladder_data)``.  ``jump``, ``ladder_start`` and ``ladder_data``
-    are memoryviews of ndarrays, cheaper to read one entry at a time.  All
-    three take the width :func:`position_dtype` picks for the larger of n
-    and the number of ladder entries, so int32 short of 2^31 entries; the
-    fill itself computes in int64.
+    ``len(ladder_data)``.  Entry j of ladder x answers the target
+    ``values[x] + j + 1``.  ``jump[x]`` holds no position but an offset
+    into ``ladder_data``: for the base position b that x jumps to, it is
+    ``ladder_start[b] - (values[b] - y_min) - 1``, so that b's entry for a
+    target y is ``ladder_data[jump[x] + y - y_min]``, one read.  The
+    offsets lie in [-n, len(ladder_data)).  ``jump``, ``ladder_start``
+    and ``ladder_data`` are memoryviews of ndarrays, cheaper to read one
+    entry at a time.  All three take the width :func:`position_dtype`
+    picks for the larger of n and the number of ladder entries, so int32
+    short of 2^31 entries; the fill itself computes in int64.
 
     The structure is immutable after construction and safe to share
     between threads.
@@ -430,7 +435,15 @@ class OneLevelFL:
                 hit += a
                 answers = np.where(hit_level == level, hit, next_at[level])
                 ladder_data[j0:j1] = answers[:k]
-            jump[a:b] = valley[answers[k : k + m]]
+            # each jump as the offset of its base ladder, moved down by the
+            # base's level and one more, so that the base's entry for a
+            # target y sits at jump[x] + y - y_min
+            bases = valley[answers[k : k + m]]
+            levels = data[bases]
+            levels -= y_min
+            levels += 1
+            np.subtract(starts[bases], levels, out=jump[a:b])
+            del bases, levels  # not kept alive beside the next block's temporaries
             next_at[lo : hi + 1] = answers[k + m :]
 
         self._values = values
@@ -471,14 +484,13 @@ class OneLevelFL:
         # t // kappa, avoiding positions whose power-of-two weight exceeds p
         p = t // self.kappa
         p = 1 << (p.bit_length() - 1)
-        xh = x - x % p
-        if xh > 0 and xh % (p + p) == 0:
+        xh = x & -p
+        if xh and not xh & p:
             xh -= p
-        base = self.jump[xh]
-        yb = values[base]
+        i = self.ladder_data[self.jump[xh] + y - self.y_min]
         if __debug__:
-            assert yb < y <= yb + self.ladder_start[base + 1] - self.ladder_start[base]
-        return self.ladder_data[self.ladder_start[base] + (y - yb - 1)]
+            assert i == n or (i >= x and values[i] == y)
+        return i
 
     def find_larger(self, x: int, y: int) -> int | None:
         """Like :meth:`query` but returns None when no position qualifies."""

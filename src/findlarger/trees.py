@@ -14,6 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
+    CHUNK,
     NotAnIntegerError,
     OneLevelFL,
     ValueOutOfRangeError,
@@ -437,33 +438,58 @@ def euler_tour(tree: Tree) -> EulerTour:
 class LevelAncestorIndex:
     """O(1) level-ancestor queries after an O(n) build.
 
-    Builds the Euler tour, negates its depth sequence, and answers
-    query(v, d) as the node at the first tour position >= first_pos[v]
-    with depth <= d; since depths leave v's subtree only through depth
-    depth(v) - 1, depth(v) - 2, ..., the first such stop has depth
-    exactly d and holds the ancestor.  It keeps only what ``query``
-    reads: ``first_pos``, ``depth`` and ``nodes`` from the tour, as
-    memoryviews of its int32 arrays (below 2^30 by ``MAX_TOUR_NODES``),
-    and a find-smaller index over the negated tour depths, which stay
-    int64.  Neither the tree nor the tour object is kept.
+    Builds the Euler tour and a :class:`~findlarger.core.OneLevelFL` over
+    its negated depth sequence.  The ancestor of v at depth d is the node
+    at the first tour stop at or after ``first_pos[v]`` with depth at most
+    d: depths leave v's subtree only through depth(v) - 1, depth(v) - 2,
+    ..., so that stop has depth exactly d.  With t = depth(v) - d, t = 0
+    answers v itself, t below kappa reads entry t - 1 of the ladder at
+    ``first_pos[v]``, and a taller t reads the ladder that the aligned
+    jump entry points into, at offset ``jump[xh] - d``.
+
+    It keeps only what ``query`` reads, as memoryviews: each node's
+    ``first_pos`` and ``depth`` from the tour, and the find-smaller
+    index's ``ladder_start``, ``jump`` and ``ladder_data``.  Its ladder
+    entries are translated from tour stops to the nodes at those stops,
+    and its jump offsets are moved up by the largest depth, so a query
+    reads each answer directly.  All five arrays are int32 for every tree
+    :func:`euler_tour` accepts.  Neither the tree, the tour nor the
+    find-smaller index is kept.
 
     Raises InvalidKappaError for a kappa that is not an int of at least 3
     before the tour is built, and TreeTooLargeError for a tree
     :func:`euler_tour` cannot rank.
     """
 
-    __slots__ = ("first_pos", "depth", "nodes", "kappa", "_fs")
+    __slots__ = ("first_pos", "depth", "kappa", "ladder_start", "jump", "ladder_data")
 
     def __init__(self, tree: Tree, kappa: int = 5):
         check_kappa(kappa)
         tour = euler_tour(tree)
         self.first_pos = memoryview(tour.first_pos)
         self.depth = memoryview(tour.depth)
-        self.nodes = memoryview(tour.nodes)
         self.kappa = kappa
         # the tour is local, so its depths are negated in place
         np.negative(tour.depths, out=tour.depths)
-        self._fs = OneLevelFL(tour.depths, kappa)
+        fs = OneLevelFL(tour.depths, kappa)
+        # The targets are -d and y_min is minus the largest depth, so a jump
+        # offset moved up by that depth reads depth d's entry at jump[xh] - d.
+        # It then holds ladder_start[b] + depth(b) - 1 for its base b, which
+        # lies in [-1, len(ladder_data)): b and the stops after it pass
+        # depths depth(b), ..., 1 before the tour ends at the root, each
+        # with at least one ladder entry.  So the moved offsets fit the
+        # width chosen for the ladders.
+        jump = fs.jump.obj
+        jump -= fs.y_min
+        # stops to nodes, in place, in pieces: no temporary of the ladders' length
+        ladder_data = fs.ladder_data.obj
+        nodes = tour.nodes
+        for j in range(0, len(ladder_data), CHUNK):
+            piece = ladder_data[j : j + CHUNK]
+            np.take(nodes, piece, out=piece)
+        self.ladder_start = fs.ladder_start
+        self.jump = fs.jump
+        self.ladder_data = fs.ladder_data
 
     def query(self, v: int, d: int) -> int:
         """Ancestor of v at depth d (root has depth 0).  O(1).
@@ -475,6 +501,35 @@ class LevelAncestorIndex:
         first_pos = self.first_pos
         if not 0 <= v < len(first_pos):
             raise UnknownNodeError(f"node {v} not in 0..{len(first_pos) - 1}")
-        if d < 0 or d > self.depth[v]:
+        t = self.depth[v] - d
+        if d < 0 or t < 0:
             raise DepthOutOfRangeError(f"node {v} has depth {self.depth[v]}, requested {d}")
-        return self.nodes[self._fs.query(first_pos[v], -d)]
+        if t == 0:
+            return v
+        x = first_pos[v]
+        if t < self.kappa:
+            a = self.ladder_data[self.ladder_start[x] + t - 1]
+        else:
+            # the aligned jump of OneLevelFL.query
+            p = t // self.kappa
+            p = 1 << (p.bit_length() - 1)
+            xh = x & -p
+            if xh and not xh & p:
+                xh -= p
+            a = self.ladder_data[self.jump[xh] - d]
+        if __debug__:
+            assert self.depth[a] == d
+        return a
+
+    def entry_count(self) -> int:
+        """Stored entries: two per node, 2n - 1 ladder offsets and jumps
+        for the 2n - 1 tour stops, one more offset, and the ladder entries."""
+        return sum(len(a) for a in self._arrays())
+
+    def resident_bytes(self) -> int:
+        """Bytes held by the stored arrays: the nodes' first tour positions
+        and depths, and the ladder offsets, jumps and ladder entries."""
+        return sum(a.nbytes for a in self._arrays())
+
+    def _arrays(self) -> tuple[memoryview, ...]:
+        return (self.first_pos, self.depth, self.ladder_start, self.jump, self.ladder_data)

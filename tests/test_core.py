@@ -36,6 +36,11 @@ def heights(s):
     return [starts[x + 1] - starts[x] for x in range(s.n)]
 
 
+def jump_offset(s, values, base):
+    """The jump entry of a position whose jump lands on ``base``."""
+    return s.ladder_start[base] - (values[base] - s.y_min) - 1
+
+
 class TestValidateSequence:
     def test_wraps_values(self):
         seq = validate_sequence(EXAMPLE)
@@ -111,9 +116,12 @@ class TestPow2Helpers:
         if t < kappa:
             t += kappa
         p = 1 << ((t // kappa).bit_length() - 1)
-        xh = x - x % p
-        if xh > 0 and xh % (2 * p) == 0:
+        xh = x & -p
+        if xh and not xh & p:
             xh -= p
+        # the bit operations the queries use, against the arithmetic they stand for
+        down = x - x % p
+        assert xh == (down - p if down > 0 and down % (2 * p) == 0 else down)
         assert kappa * p <= t <= 2 * kappa * p - 1
         assert 0 <= x - xh <= 2 * p - 1
         assert xh == 0 or xh & -xh == p
@@ -148,8 +156,11 @@ class TestBuildExample:
         s = OneLevelFL(EXAMPLE, 5)
         assert s.n == 6 and s.bottom == 6
         assert (s.y_min, s.y_max) == (0, 2)
-        assert list(s.jump) == [0, 5, 5, 5, 5, 5]
         assert list(s.ladder_start) == [0, 1, 3, 4, 4, 5, 5]
+        # position 0 jumps to its own ladder, every other one to ladder 5,
+        # each stored as ladder_start[base] - (values[base] - y_min) - 1
+        assert list(s.jump) == [jump_offset(s, EXAMPLE, b) for b in [0, 5, 5, 5, 5, 5]]
+        assert list(s.jump) == [-2, 2, 2, 2, 2, 2]
         # ladder x spans ladder_start[x] .. ladder_start[x + 1]
         assert heights(s) == [1, 2, 1, 0, 1, 0]
         # entries are full find-larger answers: L_0 = [3], L_1 = [2, 3], ...
@@ -164,9 +175,11 @@ class TestBuildExample:
                     assert s.ladder_data[st_ + j] == naive_fl(EXAMPLE, x, EXAMPLE[x] + 1 + j)
 
     def test_jump_of_zero_is_zero(self):
+        # position 0 jumps to its own ladder
         for kappa in (3, 4, 5):
-            assert OneLevelFL(EXAMPLE, kappa).jump[0] == 0
-            assert OneLevelFL(list(range(16)), kappa).jump[0] == 0
+            for values in (EXAMPLE, list(range(16))):
+                s = OneLevelFL(values, kappa)
+                assert s.jump[0] == jump_offset(s, values, 0) == -(values[0] - s.y_min) - 1
 
     def test_endpoint_ladders_reach_the_top(self):
         s = OneLevelFL(EXAMPLE, 5)
@@ -176,7 +189,9 @@ class TestBuildExample:
 
 def reference_build(values, kappa):
     """Ladder offsets, ladders and jumps by a per-position right-to-left
-    loop over Python integers: the reference the blocked fill must equal."""
+    loop over Python integers: the reference the blocked fill must equal.
+    Each jump is computed as its base position, then stored as the offset
+    ``starts[base] - (values[base] - y_min) - 1``."""
     n = len(values)
     valley = compute_valleys(values).tolist()
     y_min, y_max = min(values), max(values)
@@ -191,7 +206,7 @@ def reference_build(values, kappa):
     for h in heights:
         starts.append(starts[-1] + h)
     ladder_data = [0] * starts[n]
-    jump = [0] * n
+    base = [0] * n
     # next_at[v - y_min] = least position >= x whose value is v; one extra
     # slot keeps y_max + 1 addressable (always n)
     size = y_max - y_min + 2
@@ -204,7 +219,8 @@ def reference_build(values, kappa):
         ladder_data[st : st + h] = next_at[i + 1 : i + 1 + h]
         if x:
             t = min(i + (kappa - 2) * (x & -x), size - 1)
-            jump[x] = valley[next_at[t]]
+            base[x] = valley[next_at[t]]
+    jump = [starts[b] - (values[b] - y_min) - 1 for b in base]
     return starts, ladder_data, jump
 
 
@@ -308,7 +324,7 @@ class TestQuery:
     def test_staircase_jump_path(self):
         # ascending staircase forces the aligned-position branch
         s = OneLevelFL(list(range(16)), 5)
-        assert s.jump[2] == 0
+        assert s.jump[2] == jump_offset(s, range(16), 0) == -1  # into ladder 0
         assert s.query(3, 15) == 15
         assert s.query(0, 15) == 15
         down = OneLevelFL(list(range(15, -1, -1)), 5)

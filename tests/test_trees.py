@@ -419,7 +419,7 @@ class TestLevelAncestorIndex:
         n = 1 << 16
         tree = Tree.from_parents(np.arange(-1, n - 1))  # a path: node v at depth v
         idx = LevelAncestorIndex(tree)
-        for view in (idx.first_pos, idx.depth, idx.nodes):
+        for view in (idx.first_pos, idx.depth, idx.ladder_start, idx.jump, idx.ladder_data):
             assert np.asarray(view).dtype == np.int32
         assert idx.depth.tolist() == list(range(n))
         assert all(idx.query(v, v) == v for v in range(n))
@@ -428,6 +428,21 @@ class TestLevelAncestorIndex:
         for v in deep:
             for d in (0, v // 2, v, rng.randrange(v + 1)):
                 assert idx.query(v, d) == naive_la(tree, v, d) == d
+
+    def test_storage_is_five_int32_arrays(self):
+        idx = LevelAncestorIndex(parse_parent_array("6\n-1 0 0 1 1 2"))
+        # 6 nodes, 11 tour stops; the ladder entries are node ids
+        assert len(idx.first_pos) == len(idx.depth) == 6
+        assert len(idx.ladder_start) == 12 and len(idx.jump) == 11
+        # stop j of the tour 0 1 3 1 4 1 0 2 5 2 0 has a ladder of the
+        # ancestors above it, nearest first: [], [0], [1, 0], [0], ...
+        assert idx.ladder_data.tolist() == [0, 1, 0, 0, 1, 0, 0, 0, 2, 0, 0]
+        assert idx.entry_count() == 6 + 6 + 12 + 11 + 11
+        assert idx.resident_bytes() == 4 * (6 + 6 + 12 + 11 + 11) == 184
+        for name in ("nodes", "depths", "_fs"):
+            assert not hasattr(idx, name)
+        kept = [getattr(idx, name) for name in idx.__slots__]
+        assert all(view.format == "i" for view in kept if isinstance(view, memoryview))
 
     def test_path_and_star_and_singleton(self):
         for parent in ([-1] + list(range(30)), [-1] + [0] * 30, [-1]):
@@ -450,3 +465,33 @@ class TestLevelAncestorIndex:
                 assert depth[a] == d
             assert idx.query(v, depth[v]) == v
             assert idx.query(v, 0) == tree.root
+
+
+def caterpillar(spine, legs):
+    """A path of ``spine`` nodes, each with ``legs`` leaves hung on it."""
+    return [-1] + list(range(spine - 1)) + [v for v in range(spine) for _ in range(legs)]
+
+
+@pytest.mark.parametrize(
+    "parent",
+    [
+        [-1] + list(range(119)),  # path
+        [-1] + [0] * 2499,  # star, a tour of 4999 stops
+        caterpillar(40, 60),  # 2440 nodes, a tour of 4879 stops
+        random_parent_array(2200, 13, 0.0),
+        random_parent_array(2200, 14, 0.3),
+        random_parent_array(400, 15, 0.9),
+    ],
+    ids=["path", "star", "caterpillar", "random", "random-deeper", "random-deepest"],
+)
+def test_every_pair_matches_the_oracle(parent):
+    tree = Tree.from_parents(parent)
+    depth = euler_tour(tree).depth.tolist()
+    want = [[naive_la(tree, v, d) for d in range(depth[v] + 1)] for v in range(len(parent))]
+    for kappa in (3, 4, 5, 6, 2**62):
+        idx = LevelAncestorIndex(tree, kappa)
+        got = [[idx.query(v, d) for d in range(depth[v] + 1)] for v in range(len(parent))]
+        assert got == want, kappa
+        # each jump offset, moved up by the largest depth, stays inside the ladders
+        jump = np.asarray(idx.jump)
+        assert jump.min() >= -1 and jump.max() < len(idx.ladder_data)

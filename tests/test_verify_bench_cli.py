@@ -29,7 +29,9 @@ class TestCheckSequence:
 
     def test_corrupted_structure_is_caught_with_replayable_queries(self):
         s = OneLevelFL([1, 0, 1, 2, 1, 2], 5)
-        s.ladder_data[0] = 1  # true entry is 3
+        # the true entry is 3; position 5 holds the same value, so only
+        # the oracle, not the query's own check, tells them apart
+        s.ladder_data[0] = 5
         report = check_sequence([1, 0, 1, 2, 1, 2], structure=s)
         assert report["pass"] is False
         assert 0 < report["mismatch_count"] <= 10
@@ -42,7 +44,7 @@ class TestCheckSequence:
     def test_mismatch_list_capped_at_10(self):
         s = OneLevelFL(list(range(64)), 5)
         for i in range(len(s.ladder_data)):
-            s.ladder_data[i] = 0
+            s.ladder_data[i] = s.bottom  # every ladder claims no answer
         report = check_sequence(list(range(64)), structure=s)
         assert report["mismatch_count"] > 10
         assert len(report["mismatches"]) == 10
@@ -54,12 +56,12 @@ class TestCheckSequence:
     def test_seed_replays_the_same_random_queries(self):
         s = OneLevelFL(WALK, 5)
         for i in range(len(s.ladder_data)):
-            s.ladder_data[i] = 0
+            s.ladder_data[i] = s.bottom
         report = check_sequence(WALK, mode="random", queries=500, seed=3, structure=s)
         # x is drawn before y for each query; these are the draws of Random(3)
-        assert report["mismatch_count"] == 176
+        assert report["mismatch_count"] == 122
         assert report["mismatches"][0] == {
-            "kind": "fl", "x": 120, "y": -3, "expected": 194, "got": 0, "kappa": 5
+            "kind": "fl", "x": 120, "y": -3, "expected": 194, "got": 300, "kappa": 5
         }
 
 
@@ -75,7 +77,9 @@ class TestCheckTree:
 
     def test_corrupted_tour_is_caught(self):
         idx = LevelAncestorIndex(self.TREE)
-        idx.nodes[0] = 5  # position 0 really holds the root
+        # tour stop 2 (node 2) has the ladder [1, 0]; node 4 is at depth 1 too
+        assert idx.ladder_data[1] == 1
+        idx.ladder_data[1] = 4
         report = check_tree(self.TREE, index=idx)
         assert report["pass"] is False
         m = report["mismatches"][0]
@@ -85,14 +89,22 @@ class TestCheckTree:
     def broken_index():
         tree = Tree.from_parents(random_parent_array(50, seed=3))
         idx = LevelAncestorIndex(tree)
-        for i in range(len(idx.nodes)):
-            idx.nodes[i] = 0  # every tour position claims the root
+        depth = idx.depth
+        first_at = {}
+        for v in range(len(depth)):
+            first_at.setdefault(depth[v], v)
+        ladder_data = idx.ladder_data
+        for i in range(len(ladder_data)):
+            # every proper ancestor claimed is the lowest-numbered node at its depth
+            ladder_data[i] = first_at[depth[ladder_data[i]]]
         return tree, idx
 
     def test_mismatch_list_capped_at_10(self):
         tree, idx = self.broken_index()
         report = check_tree(tree, index=idx)
-        assert report["mismatch_count"] == 248
+        # the pairs whose true ancestor is a proper one and not the
+        # lowest-numbered node at its depth, counted from naive_la
+        assert report["mismatch_count"] == 81
         assert len(report["mismatches"]) == 10
 
     def test_bad_mode(self):
@@ -103,9 +115,9 @@ class TestCheckTree:
         tree, idx = self.broken_index()
         report = check_tree(tree, mode="random", queries=500, seed=3, index=idx)
         # v is drawn before d for each query; these are the draws of Random(3)
-        assert report["mismatch_count"] == 393
+        assert report["mismatch_count"] == 128
         assert report["mismatches"][0] == {
-            "kind": "la", "v": 15, "d": 9, "expected": 15, "got": 0, "kappa": 5
+            "kind": "la", "v": 40, "d": 4, "expected": 12, "got": 6, "kappa": 5
         }
 
 
@@ -222,7 +234,9 @@ class TestCli:
         f.write_text("6\n1 0 1 2 1 2\n")
         assert main(["inspect", str(f), "--kappa", "5"]) == 0
         out = capsys.readouterr().out
-        assert "Jump: 0 5 5 5 5 5" in out
+        # the jumps land on ladders 0 5 5 5 5 5, each stored as
+        # ladder_start[base] - (values[base] - y_min) - 1
+        assert "JumpOffset: -2 2 2 2 2 2" in out
         assert "Valley: 0 1 1 1 4 4 5" in out
         assert "Weight: 1 3 0 0 2 0" in out
         assert "Ladder[1]: 2 3" in out
