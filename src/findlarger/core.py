@@ -179,19 +179,19 @@ def _sweep_valleys(values: Sequence[int], n: int) -> tuple[np.ndarray, int, int]
     fx = [0] * (n + 1)
     flow = [float("-inf")] * (n + 1)
     fhigh = [float("inf")] * (n + 1)
-    valley = memoryview(np.empty(n + 1, dtype=position_dtype(n)))  # every entry is written below
+    # a point walled off from every open valley bottoms out at itself, so
+    # only the points that descend past a wall write their entry below
+    valley = np.arange(n + 1, dtype=position_dtype(n))
+    valley[n] = n - 1
+    valley_at = memoryview(valley)
     top = 0
     pushes = 0
-    pops = 0
-    for x in range(n):
-        yx = values[x]
+    for x, yx in enumerate(values):
         t = top
         while flow[t] >= yx:  # valleys at least as low as yx: (x, yx) supersedes them
             t -= 1
-        pops += top - t
         if fhigh[t] >= yx:
             # walled off from the surviving valley: x bottoms out at itself
-            valley[x] = x
             if fhigh[t] > yx:  # strictly below the wall, so x opens a valley
                 t += 1
                 fx[t] = x
@@ -202,21 +202,18 @@ def _sweep_valleys(values: Sequence[int], n: int) -> tuple[np.ndarray, int, int]
                     assert flow[t] > flow[t - 1] and fhigh[t] < fhigh[t - 1]
         else:
             # can descend past the wall; find the deepest valley still visible
-            t0 = t
             while fhigh[t - 1] < yx:
                 t -= 1
-            pops += t0 - t
-            valley[x] = fx[t]
+            valley_at[x] = fx[t]
             if fhigh[t - 1] > yx:
                 fhigh[t] = yx  # later points must clear (x, yx) to see deeper
                 if __debug__:
                     assert fhigh[t] < fhigh[t - 1] and flow[t] > flow[t - 1]
             else:
                 t -= 1  # ceiling matches the next valley's: top frame is absorbed
-                pops += 1
         top = t
-    valley[n] = n - 1
-    return valley.obj, pushes, pops
+    # every frame popped was pushed, and the sentinel is never popped
+    return valley, pushes, pushes - top
 
 
 def compute_valleys(values: Sequence[int]) -> np.ndarray:
@@ -271,6 +268,150 @@ class SpaceReport:
     interior_ladder_entries: int
     interior_bound: int
     words: int
+
+
+def _kappa_prime(kappa: int) -> int:
+    """ceil((2 * kappa + 2) / (kappa - 2)), the growth of a ladder with the
+    weight of its valley."""
+    return -((2 * kappa + 2) // (2 - kappa))
+
+
+def _ladders(
+    data: np.ndarray,
+    valley: np.ndarray,
+    kappa: int,
+    y_min: int,
+    y_max: int,
+    starts_at: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ladder offsets, ladder entries and jump offsets of the
+    find-larger index over ``data``, laid out as :class:`OneLevelFL`
+    keeps them.  ``valley`` is what :func:`_sweep_valleys` returns for
+    ``data``, and ``y_min`` and ``y_max`` are its least and largest values.
+
+    ``starts_at`` is a boolean mask of the positions where queries may
+    start, None for all of them.  A position outside it gets an empty
+    ladder, and the arrays are otherwise those of the full build, each
+    ladder moved down by the entries dropped before it.  A jump lands in
+    the ladder of a valley, so the mask must hold every valley,
+    ``valley[n] = n - 1`` among them.
+
+    Raises:
+        ValueError: ``starts_at`` misses a valley.
+    """
+    n = len(data)
+    if starts_at is not None:
+        missed = ~starts_at[valley]
+        if missed.any():
+            x = int(missed.argmax())
+            raise ValueError(f"the valley {valley[x]} of position {x} lies outside the start mask")
+    kappa_prime = _kappa_prime(kappa)
+
+    # ladder offsets, summed from the heights: endpoints reach the top;
+    # interior ladders grow with the weight of their valley, as
+    # kappa_prime * (weight - 1) - 2 but at least kappa - 1, and never
+    # pass the top.  No height exceeds y_max - y_min, so the floor is
+    # cut to it, which keeps any kappa within int64.  The heights and
+    # their sums are computed in place, in int64: temporary arrays
+    # would raise the peak memory.
+    heights = np.bincount(valley[:n], minlength=n)
+    heights *= kappa_prime
+    heights -= kappa_prime + 2
+    np.maximum(heights, min(kappa - 1, y_max - y_min), out=heights)
+    cap = y_max - data
+    np.minimum(heights, cap, out=heights)
+    heights[0], heights[-1] = cap[0], cap[-1]
+    del cap
+    if starts_at is not None:
+        heights *= starts_at
+    np.cumsum(heights, out=heights)
+    # offsets and positions take the width of the larger of n and the
+    # total, read from the int64 sum before the arrays are allocated
+    total = int(heights[-1])
+    width = position_dtype(max(n, total))
+    starts = np.empty(n + 1, dtype=width)
+    starts[0] = 0
+    starts[1:] = heights
+    del heights
+    ladder_data = np.empty(total, dtype=width)
+    jump = np.empty(n, dtype=width)  # every entry is written below
+
+    # The right-to-left sweep, one block [a, b) at a time.  Position x
+    # is at level values[x] - y_min and has the key level * w + x - a,
+    # with w = BLOCK > x - a, so a key's level is key >> bits and x - a
+    # is key & (w - 1); a block's sorted keys run level by level, by
+    # position within a level.  The first position after x at level v
+    # is the first key at or above the needle v * w + x - a if that key
+    # is at level v, else next_at[v], the first position >= b at level
+    # v.  One slot beyond y_max keeps y_max + 1 addressable (always n).
+    size = y_max - y_min + 2
+    next_at = np.full(size, n, dtype=np.int64)
+    w = BLOCK
+    bits = BLOCK.bit_length() - 1
+    top = (size - 1) * w  # a needle at level y_max + 1, which no key reaches
+    # a jump climbs (kappa - 2) * lowbit(x) levels, at most to y_max + 1,
+    # so kappa - 2 is cut to the level range first to stay in int64
+    step = min(kappa - 2, size - 1)
+    jump_keys = _LOWBIT[: min(n, BLOCK)] * (step * w)
+    for a in range(n - 1 - (n - 1) % BLOCK, -1, -BLOCK):
+        b = min(a + BLOCK, n)
+        m = b - a
+        # in int64: st * w passes 2^31 once the block's offsets pass 2^19
+        st = starts[a : b + 1].astype(np.int64)
+        s0 = int(st[0])
+        s1 = int(st[m])
+        keys = np.empty(m + 1, dtype=np.int64)
+        block_keys = keys[:m]
+        np.subtract(data[a:b], y_min, out=block_keys)
+        block_keys *= w
+        block_keys += _LOCAL[:m]
+        keys[m] = _KEY_END  # every needle then finds a key
+        sorted_keys = np.sort(keys)
+        lo = int(sorted_keys[0]) >> bits
+        hi = int(sorted_keys[m - 1]) >> bits  # a 1-difference block holds every level in [lo, hi]
+        # ladder_data[j] is entry k = j - starts[x] + 1 of ladder x, at
+        # level + k, so its needle is (key_x - starts[x] * w) + (j + 1) * w
+        base = block_keys - st[:-1] * w
+        # the block's ladder entries in pieces of at most CHUNK, and at
+        # least one piece; the last also holds the jump needles and the
+        # carry needles, which ask for the first position of each level
+        for j0 in range(s0, max(s1, s0 + 1), CHUNK):
+            j1 = min(j0 + CHUNK, s1)
+            k = j1 - j0
+            last = j1 == s1
+            needles = np.empty(k + m + hi - lo + 1 if last else k, dtype=np.int64)
+            cut = np.minimum(np.maximum(st, j0), j1)
+            np.add(
+                np.repeat(base, cut[1:] - cut[:-1]),
+                np.arange((j0 + 1) * w, (j1 + 1) * w, w),
+                out=needles[:k],
+            )
+            if last:
+                jump_needles = needles[k : k + m]
+                np.add(block_keys, jump_keys[:m], out=jump_needles)
+                np.minimum(jump_needles, top, out=jump_needles)
+                # x = a climbs by lowbit(a), in Python integers: jump_keys[0] is 0
+                jump_needles[0] = min(int(block_keys[0]) + step * (a & -a) * w, top)
+                needles[k + m :] = np.arange(lo * w, (hi + 1) * w, w)
+
+            hit = sorted_keys[sorted_keys.searchsorted(needles)]
+            hit_level = hit >> bits
+            hit &= w - 1
+            hit += a
+            level = needles >> bits
+            answers = np.where(hit_level == level, hit, next_at[level])
+            ladder_data[j0:j1] = answers[:k]
+        # each jump as the offset of its base ladder, moved down by the
+        # base's level and one more, so that the base's entry for a
+        # target y sits at jump[x] + y - y_min
+        bases = valley[answers[k : k + m]]
+        levels = data[bases]
+        levels -= y_min
+        levels += 1
+        np.subtract(starts[bases], levels, out=jump[a:b])
+        del bases, levels  # not kept alive beside the next block's temporaries
+        next_at[lo : hi + 1] = answers[k + m :]
+    return starts, ladder_data, jump
 
 
 class OneLevelFL:
@@ -344,112 +485,12 @@ class OneLevelFL:
         valley, pushes, pops = _sweep_valleys(values, n)
         y_min = int(data.min())
         y_max = int(data.max())
-        # kappa_prime = ceil((2*kappa + 2) / (kappa - 2))
-        kappa_prime = -((2 * kappa + 2) // (2 - kappa))
-
-        # ladder offsets, summed from the heights: endpoints reach the top;
-        # interior ladders grow with the weight of their valley, as
-        # kappa_prime * (weight - 1) - 2 but at least kappa - 1, and never
-        # pass the top.  No height exceeds y_max - y_min, so the floor is
-        # cut to it, which keeps any kappa within int64.  The heights and
-        # their sums are computed in place, in int64: temporary arrays
-        # would raise the peak memory.
-        heights = np.bincount(valley[:n], minlength=n)
-        heights *= kappa_prime
-        heights -= kappa_prime + 2
-        np.maximum(heights, min(kappa - 1, y_max - y_min), out=heights)
-        cap = y_max - data
-        np.minimum(heights, cap, out=heights)
-        heights[0], heights[-1] = cap[0], cap[-1]
-        del cap
-        np.cumsum(heights, out=heights)
-        # offsets and positions take the width of the larger of n and the
-        # total, read from the int64 sum before the arrays are allocated
-        total = int(heights[-1])
-        width = position_dtype(max(n, total))
-        starts = np.empty(n + 1, dtype=width)
-        starts[0] = 0
-        starts[1:] = heights
-        del heights
-        ladder_data = np.empty(total, dtype=width)
-        jump = np.empty(n, dtype=width)  # every entry is written below
-
-        # The right-to-left sweep, one block [a, b) at a time.  Position x
-        # is at level values[x] - y_min and has the key level * w + x - a,
-        # so a block's sorted keys run level by level, by position within
-        # a level.  The first position after x at level v is the first key
-        # at or above the needle v * w + x - a if that key is at level v,
-        # else next_at[v], the first position >= b at level v.  One slot
-        # beyond y_max keeps y_max + 1 addressable (always n).
-        size = y_max - y_min + 2
-        next_at = np.full(size, n, dtype=np.int64)
-        w = BLOCK + 1
-        top = (size - 1) * w  # a needle at level y_max + 1, which no key reaches
-        # a jump climbs (kappa - 2) * lowbit(x) levels, at most to y_max + 1,
-        # so kappa - 2 is cut to the level range first to stay in int64
-        step = min(kappa - 2, size - 1)
-        jump_keys = _LOWBIT[: min(n, BLOCK)] * (step * w)
-        for a in range(n - 1 - (n - 1) % BLOCK, -1, -BLOCK):
-            b = min(a + BLOCK, n)
-            m = b - a
-            # in int64: st * w passes 2^31 once the block's offsets pass 2^19
-            st = starts[a : b + 1].astype(np.int64)
-            s0 = int(st[0])
-            s1 = int(st[m])
-            keys = np.empty(m + 1, dtype=np.int64)
-            block_keys = keys[:m]
-            np.subtract(data[a:b], y_min, out=block_keys)
-            block_keys *= w
-            block_keys += _LOCAL[:m]
-            keys[m] = _KEY_END  # every needle then finds a key
-            sorted_keys = np.sort(keys)
-            lo = int(sorted_keys[0]) // w
-            hi = int(sorted_keys[m - 1]) // w  # a 1-difference block holds every level in [lo, hi]
-            # ladder_data[j] is entry k = j - starts[x] + 1 of ladder x, at
-            # level + k, so its needle is (key_x - starts[x] * w) + (j + 1) * w
-            base = block_keys - st[:-1] * w
-            # the block's ladder entries in pieces of at most CHUNK, and at
-            # least one piece; the last also holds the jump needles and the
-            # carry needles, which ask for the first position of each level
-            for j0 in range(s0, max(s1, s0 + 1), CHUNK):
-                j1 = min(j0 + CHUNK, s1)
-                k = j1 - j0
-                last = j1 == s1
-                needles = np.empty(k + m + hi - lo + 1 if last else k, dtype=np.int64)
-                cut = np.minimum(np.maximum(st, j0), j1)
-                np.add(
-                    np.repeat(base, cut[1:] - cut[:-1]),
-                    np.arange((j0 + 1) * w, (j1 + 1) * w, w),
-                    out=needles[:k],
-                )
-                if last:
-                    jump_needles = needles[k : k + m]
-                    np.add(block_keys, jump_keys[:m], out=jump_needles)
-                    np.minimum(jump_needles, top, out=jump_needles)
-                    # x = a climbs by lowbit(a), in Python integers: jump_keys[0] is 0
-                    jump_needles[0] = min(int(block_keys[0]) + step * (a & -a) * w, top)
-                    needles[k + m :] = np.arange(lo * w, (hi + 1) * w, w)
-
-                hit_level, hit = np.divmod(sorted_keys[sorted_keys.searchsorted(needles)], w)
-                level = needles // w
-                hit += a
-                answers = np.where(hit_level == level, hit, next_at[level])
-                ladder_data[j0:j1] = answers[:k]
-            # each jump as the offset of its base ladder, moved down by the
-            # base's level and one more, so that the base's entry for a
-            # target y sits at jump[x] + y - y_min
-            bases = valley[answers[k : k + m]]
-            levels = data[bases]
-            levels -= y_min
-            levels += 1
-            np.subtract(starts[bases], levels, out=jump[a:b])
-            del bases, levels  # not kept alive beside the next block's temporaries
-            next_at[lo : hi + 1] = answers[k + m :]
+        starts, ladder_data, jump = _ladders(data, valley, kappa, y_min, y_max)
 
         self._values = values
         self.n = n
         self.kappa = kappa
-        self.kappa_prime = kappa_prime
+        self.kappa_prime = _kappa_prime(kappa)
         self.y_min = y_min
         self.y_max = y_max
         self.bottom = n

@@ -16,8 +16,9 @@ import numpy as np
 from .core import (
     CHUNK,
     NotAnIntegerError,
-    OneLevelFL,
     ValueOutOfRangeError,
+    _ladders,
+    _sweep_valleys,
     check_kappa,
     int64_array,
     position_dtype,
@@ -185,7 +186,7 @@ def read_ints(text: str, error: type[ValueError]) -> list[int]:
     if not tokens:
         raise error("no tokens")
     try:
-        numbers = [int(t) for t in tokens]
+        numbers = list(map(int, tokens))
     except ValueError as e:
         raise error(f"non-integer token: {e}") from None
     if len(numbers) >= 2 and numbers[0] == len(numbers) - 1:
@@ -438,58 +439,81 @@ def euler_tour(tree: Tree) -> EulerTour:
 class LevelAncestorIndex:
     """O(1) level-ancestor queries after an O(n) build.
 
-    Builds the Euler tour and a :class:`~findlarger.core.OneLevelFL` over
-    its negated depth sequence.  The ancestor of v at depth d is the node
-    at the first tour stop at or after ``first_pos[v]`` with depth at most
-    d: depths leave v's subtree only through depth(v) - 1, depth(v) - 2,
-    ..., so that stop has depth exactly d.  With t = depth(v) - d, t = 0
-    answers v itself, t below kappa reads entry t - 1 of the ladder at
-    ``first_pos[v]``, and a taller t reads the ladder that the aligned
-    jump entry points into, at offset ``jump[xh] - d``.
+    Builds the Euler tour and the ladders and jumps of a find-smaller
+    index over its negated depth sequence.  The ancestor of v at depth d
+    is the node at the first tour stop at or after ``first_pos[v]`` with
+    depth at most d: depths leave v's subtree only through depth(v) - 1,
+    depth(v) - 2, ..., so that stop has depth exactly d.  With
+    t = depth(v) - d, t = 0 answers v itself, t below kappa reads entry
+    t - 1 of the ladder at ``first_pos[v]``, and a taller t reads the
+    ladder that the aligned jump entry points into.
+
+    Queries start only at first visits, and every jump lands in the
+    ladder of a valley of the negated depths.  A valley is a first visit
+    too: a stop that returns to u from a child has as its valley the
+    deepest, rightmost leaf below that child, and a leaf has one stop.
+    So only the first visits, and the last stop (the closing valley),
+    get ladders; the n - 1 return stops get none.
 
     It keeps only what ``query`` reads, as memoryviews: each node's
-    ``first_pos`` and ``depth`` from the tour, and the find-smaller
-    index's ``ladder_start``, ``jump`` and ``ladder_data``.  Its ladder
-    entries are translated from tour stops to the nodes at those stops,
-    and its jump offsets are moved up by the largest depth, so a query
-    reads each answer directly.  All five arrays are int32 for every tree
-    :func:`euler_tour` accepts.  Neither the tree, the tour nor the
-    find-smaller index is kept.
+    ``first_pos`` and ``depth`` from the tour, ``own``, ``jump`` and
+    ``ladder_data``.  The ladder entries are translated from tour stops
+    to the nodes at those stops.  ``own[v]`` is
+    ``ladder_start[first_pos[v]] + depth(v) - 1``, so the short climb
+    reads ``ladder_data[own[v] - d]``; each jump offset is moved up by
+    the largest depth D, so the jump reads ``ladder_data[jump[xh] - d]``,
+    and holds ``ladder_start[b] + depth(b) - 1`` for its base b.  Both
+    offsets lie in [-1, len(ladder_data) + D), since a ladder starts in
+    [0, len(ladder_data)] and a depth lies in [0, D]; the return stops
+    after b hold no ladder entries, so an offset can pass the end of
+    ``ladder_data``, though no read does.  They take the width
+    :func:`~findlarger.core.position_dtype` picks for that range, so all
+    five arrays are int32 while len(ladder_data) + D stays below 2^31.
+    Neither the tree, the rest of the tour nor the ladder starts are
+    kept.
 
     Raises InvalidKappaError for a kappa that is not an int of at least 3
     before the tour is built, and TreeTooLargeError for a tree
     :func:`euler_tour` cannot rank.
     """
 
-    __slots__ = ("first_pos", "depth", "kappa", "ladder_start", "jump", "ladder_data")
+    __slots__ = ("first_pos", "depth", "kappa", "own", "jump", "ladder_data")
 
     def __init__(self, tree: Tree, kappa: int = 5):
         check_kappa(kappa)
         tour = euler_tour(tree)
-        self.first_pos = memoryview(tour.first_pos)
-        self.depth = memoryview(tour.depth)
-        self.kappa = kappa
-        # the tour is local, so its depths are negated in place
-        np.negative(tour.depths, out=tour.depths)
-        fs = OneLevelFL(tour.depths, kappa)
-        # The targets are -d and y_min is minus the largest depth, so a jump
-        # offset moved up by that depth reads depth d's entry at jump[xh] - d.
-        # It then holds ladder_start[b] + depth(b) - 1 for its base b, which
-        # lies in [-1, len(ladder_data)): b and the stops after it pass
-        # depths depth(b), ..., 1 before the tour ends at the root, each
-        # with at least one ladder entry.  So the moved offsets fit the
-        # width chosen for the ladders.
-        jump = fs.jump.obj
-        jump -= fs.y_min
+        first_pos, depth, depths = tour.first_pos, tour.depth, tour.depths
+        n = len(depths)
+        largest = int(depth.max())
+        # the tour is local, so its depths are negated in place; they are
+        # 1-difference by construction
+        np.negative(depths, out=depths)
+        valley, _, _ = _sweep_valleys(memoryview(depths), n)
+        starts_at = np.zeros(n, dtype=bool)
+        starts_at[first_pos] = True
+        starts_at[-1] = True
+        starts, ladder_data, jump = _ladders(depths, valley, kappa, -largest, 0, starts_at)
+        del valley, starts_at
+        width = position_dtype(len(ladder_data) + largest - 1)
+        own = starts[first_pos].astype(width, copy=False)
+        own += depth
+        own -= 1
+        del starts
+        # y_min is -largest, so a jump offset moved up by largest reads
+        # depth d's entry at jump[xh] - d
+        jump = jump.astype(width, copy=False)
+        jump += largest
         # stops to nodes, in place, in pieces: no temporary of the ladders' length
-        ladder_data = fs.ladder_data.obj
         nodes = tour.nodes
         for j in range(0, len(ladder_data), CHUNK):
             piece = ladder_data[j : j + CHUNK]
             np.take(nodes, piece, out=piece)
-        self.ladder_start = fs.ladder_start
-        self.jump = fs.jump
-        self.ladder_data = fs.ladder_data
+        self.first_pos = memoryview(first_pos)
+        self.depth = memoryview(depth)
+        self.kappa = kappa
+        self.own = memoryview(own)
+        self.jump = memoryview(jump)
+        self.ladder_data = memoryview(ladder_data)
 
     def query(self, v: int, d: int) -> int:
         """Ancestor of v at depth d (root has depth 0).  O(1).
@@ -498,19 +522,19 @@ class LevelAncestorIndex:
             UnknownNodeError: v outside 0..n-1.
             DepthOutOfRangeError: d < 0 or d > depth(v).
         """
-        first_pos = self.first_pos
-        if not 0 <= v < len(first_pos):
-            raise UnknownNodeError(f"node {v} not in 0..{len(first_pos) - 1}")
-        t = self.depth[v] - d
+        depth = self.depth
+        if not 0 <= v < len(depth):
+            raise UnknownNodeError(f"node {v} not in 0..{len(depth) - 1}")
+        t = depth[v] - d
         if d < 0 or t < 0:
-            raise DepthOutOfRangeError(f"node {v} has depth {self.depth[v]}, requested {d}")
+            raise DepthOutOfRangeError(f"node {v} has depth {depth[v]}, requested {d}")
         if t == 0:
             return v
-        x = first_pos[v]
         if t < self.kappa:
-            a = self.ladder_data[self.ladder_start[x] + t - 1]
+            a = self.ladder_data[self.own[v] - d]
         else:
             # the aligned jump of OneLevelFL.query
+            x = self.first_pos[v]
             p = t // self.kappa
             p = 1 << (p.bit_length() - 1)
             xh = x & -p
@@ -518,18 +542,19 @@ class LevelAncestorIndex:
                 xh -= p
             a = self.ladder_data[self.jump[xh] - d]
         if __debug__:
-            assert self.depth[a] == d
+            assert depth[a] == d
         return a
 
     def entry_count(self) -> int:
-        """Stored entries: two per node, 2n - 1 ladder offsets and jumps
-        for the 2n - 1 tour stops, one more offset, and the ladder entries."""
+        """Stored entries: three per node (first tour position, depth and
+        own-ladder offset), one jump per tour stop, and the ladder entries
+        of the first visits."""
         return sum(len(a) for a in self._arrays())
 
     def resident_bytes(self) -> int:
-        """Bytes held by the stored arrays: the nodes' first tour positions
-        and depths, and the ladder offsets, jumps and ladder entries."""
+        """Bytes held by the stored arrays: the nodes' first tour positions,
+        depths and own-ladder offsets, the jumps and the ladder entries."""
         return sum(a.nbytes for a in self._arrays())
 
     def _arrays(self) -> tuple[memoryview, ...]:
-        return (self.first_pos, self.depth, self.ladder_start, self.jump, self.ladder_data)
+        return (self.first_pos, self.depth, self.own, self.jump, self.ladder_data)

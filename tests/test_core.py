@@ -293,9 +293,9 @@ class TestPositionWidth:
         values = random_walk_values(n, seed=n)
         s = OneLevelFL(values, kappa)
         starts, ladder_data, jump = reference_build(values, kappa)
-        # a needle is starts[x] * (BLOCK + 1) plus a little: past 2^31 here,
+        # a needle is starts[x] * BLOCK plus a little: past 2^31 here,
         # so a fill computed in int32 would wrap
-        assert starts[-1] * (BLOCK + 1) >= 2**31
+        assert starts[-1] * BLOCK >= 2**31
         for got, want in ((s.ladder_start, starts), (s.ladder_data, ladder_data), (s.jump, jump)):
             assert np.asarray(got).dtype == np.int32
             assert got.tobytes() == np.array(want, dtype=np.int32).tobytes()

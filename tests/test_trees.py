@@ -27,7 +27,8 @@ from findlarger import (
     parse_balanced_parens,
     parse_parent_array,
 )
-from findlarger import trees
+from findlarger import compute_valleys, trees
+from findlarger.core import _ladders
 from findlarger.formats import write_parens
 from findlarger.gen import random_parent_array
 from findlarger.oracle import naive_la
@@ -419,7 +420,7 @@ class TestLevelAncestorIndex:
         n = 1 << 16
         tree = Tree.from_parents(np.arange(-1, n - 1))  # a path: node v at depth v
         idx = LevelAncestorIndex(tree)
-        for view in (idx.first_pos, idx.depth, idx.ladder_start, idx.jump, idx.ladder_data):
+        for view in (idx.first_pos, idx.depth, idx.own, idx.jump, idx.ladder_data):
             assert np.asarray(view).dtype == np.int32
         assert idx.depth.tolist() == list(range(n))
         assert all(idx.query(v, v) == v for v in range(n))
@@ -432,14 +433,18 @@ class TestLevelAncestorIndex:
     def test_storage_is_five_int32_arrays(self):
         idx = LevelAncestorIndex(parse_parent_array("6\n-1 0 0 1 1 2"))
         # 6 nodes, 11 tour stops; the ladder entries are node ids
-        assert len(idx.first_pos) == len(idx.depth) == 6
-        assert len(idx.ladder_start) == 12 and len(idx.jump) == 11
-        # stop j of the tour 0 1 3 1 4 1 0 2 5 2 0 has a ladder of the
-        # ancestors above it, nearest first: [], [0], [1, 0], [0], ...
-        assert idx.ladder_data.tolist() == [0, 1, 0, 0, 1, 0, 0, 0, 2, 0, 0]
-        assert idx.entry_count() == 6 + 6 + 12 + 11 + 11
-        assert idx.resident_bytes() == 4 * (6 + 6 + 12 + 11 + 11) == 184
-        for name in ("nodes", "depths", "_fs"):
+        assert len(idx.first_pos) == len(idx.depth) == len(idx.own) == 6
+        assert len(idx.jump) == 11
+        # of the tour 0 1 3 1 4 1 0 2 5 2 0, only the first visits hold a
+        # ladder of the ancestors above them, nearest first: [] for the
+        # root, [0] for node 1, [1, 0] for node 3, [1, 0] for node 4, [0]
+        # for node 2 and [2, 0] for node 5; the last stop's is empty
+        assert idx.ladder_data.tolist() == [0, 1, 0, 1, 0, 0, 2, 0]
+        # own[v] = start of v's ladder + depth(v) - 1
+        assert idx.own.tolist() == [-1, 0, 5, 2, 4, 7]
+        assert idx.entry_count() == 6 + 6 + 6 + 11 + 8
+        assert idx.resident_bytes() == 4 * (6 + 6 + 6 + 11 + 8) == 148
+        for name in ("nodes", "depths", "ladder_start", "_fs"):
             assert not hasattr(idx, name)
         kept = [getattr(idx, name) for name in idx.__slots__]
         assert all(view.format == "i" for view in kept if isinstance(view, memoryview))
@@ -472,6 +477,12 @@ def caterpillar(spine, legs):
     return [-1] + list(range(spine - 1)) + [v for v in range(spine) for _ in range(legs)]
 
 
+def fork(p, chain):
+    """A path to node p, whose first child starts a chain of ``chain``
+    nodes and whose last child is a leaf."""
+    return [-1] + list(range(p)) + [p] + list(range(p + 1, p + chain)) + [p]
+
+
 @pytest.mark.parametrize(
     "parent",
     [
@@ -481,8 +492,9 @@ def caterpillar(spine, legs):
         random_parent_array(2200, 13, 0.0),
         random_parent_array(2200, 14, 0.3),
         random_parent_array(400, 15, 0.9),
+        fork(28, 40),  # at kappa 3 a jump offset passes the end of the ladders
     ],
-    ids=["path", "star", "caterpillar", "random", "random-deeper", "random-deepest"],
+    ids=["path", "star", "caterpillar", "random", "random-deeper", "random-deepest", "fork"],
 )
 def test_every_pair_matches_the_oracle(parent):
     tree = Tree.from_parents(parent)
@@ -492,6 +504,46 @@ def test_every_pair_matches_the_oracle(parent):
         idx = LevelAncestorIndex(tree, kappa)
         got = [[idx.query(v, d) for d in range(depth[v] + 1)] for v in range(len(parent))]
         assert got == want, kappa
-        # each jump offset, moved up by the largest depth, stays inside the ladders
-        jump = np.asarray(idx.jump)
-        assert jump.min() >= -1 and jump.max() < len(idx.ladder_data)
+        # the moved offsets lie in [-1, ladder entries + largest depth)
+        bound = len(idx.ladder_data) + max(depth)
+        for offsets in (np.asarray(idx.jump), np.asarray(idx.own)):
+            assert offsets.min() >= -1 and offsets.max() < bound
+
+
+def test_a_jump_offset_passes_the_end_of_the_ladders():
+    # the return stops after a jump's base hold no ladder entries, so its
+    # offset, though never read there, lies beyond the last entry
+    idx = LevelAncestorIndex(Tree.from_parents(fork(28, 40)), 3)
+    assert max(idx.jump) >= len(idx.ladder_data)
+
+
+@pytest.mark.parametrize(
+    "parent",
+    [
+        [-1],
+        [-1] + list(range(49)),
+        [-1] + [0] * 49,
+        caterpillar(7, 6),
+        fork(5, 9),
+        random_parent_array(300, 7, 0.0),
+        random_parent_array(300, 8, 0.5),
+        relabelled(random_parent_array(300, 9, 0.9), 9),
+    ],
+)
+def test_first_visits_and_the_last_stop_hold_every_valley(parent):
+    tour = euler_tour(Tree.from_parents(parent))
+    kept = set(tour.first_pos.tolist()) | {len(tour.depths) - 1}
+    assert set(compute_valleys((-tour.depths).tolist()).tolist()) <= kept
+
+
+def test_a_start_mask_missing_a_valley_is_refused():
+    values = -euler_tour(Tree.from_parents(caterpillar(4, 2))).depths
+    valley = compute_valleys(values.tolist())
+    starts_at = np.zeros(len(values), dtype=bool)
+    starts_at[valley] = True
+    _ladders(values, valley, 5, int(values.min()), 0, starts_at)
+    for missing in sorted(set(valley.tolist())):
+        holed = starts_at.copy()
+        holed[missing] = False
+        with pytest.raises(ValueError, match=f"valley {missing} of position"):
+            _ladders(values, valley, 5, int(values.min()), 0, holed)
