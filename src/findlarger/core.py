@@ -45,19 +45,32 @@ __all__ = [
 # for x > a.
 BLOCK = 1 << 12
 
-# A block's ladder entries are searched in pieces of at most this many, so
-# that one ladder of length near n (an endpoint's, or a heavy valley's)
-# does not make temporaries of its length.  Interior ladders hold at most
-# 8n entries in all at kappa 4 and 5, so a block is mostly one piece.
+# A block's tall ladder entries, those past the chained ones, are searched
+# in pieces of at most this many, so that one ladder of length near n (an
+# endpoint's, or a heavy valley's) does not make temporaries of its length.
 CHUNK = 8 * BLOCK
+
+# At most this many entries of a ladder, and at most kappa - 1, are chained
+# through the next-level-up table; the rest are searched.  It keeps the
+# chain's temporaries at a few times the block's size for any kappa.
+CHAIN = 8
 
 # closes every block's sorted keys: above every key and every needle
 _KEY_END = 2**63 - 1
-# x - a and lowbit(x - a) for the positions x of a block [a, b)
+# x - a, lowbit(x - a) and its lowbit class, log2 lowbit(x - a), for the
+# positions x of a block [a, b); x = a takes the last class, as its climb
+# is set apart
 _LOCAL = np.arange(BLOCK, dtype=np.int64)
 _LOWBIT = _LOCAL & -_LOCAL
-_LOCAL.flags.writeable = False
-_LOWBIT.flags.writeable = False
+_CLASS = np.full(BLOCK, BLOCK.bit_length() - 1, dtype=np.uint8)
+for _c in range(BLOCK.bit_length() - 1):
+    _CLASS[1 << _c :: 2 << _c] = _c
+del _c
+# the entry index of a chained ladder entry
+_ROW = np.arange(CHAIN, dtype=np.int64)
+for _table in (_LOCAL, _LOWBIT, _CLASS, _ROW):
+    _table.flags.writeable = False
+del _table
 
 
 class EmptySequenceError(ValueError):
@@ -296,6 +309,10 @@ def _ladders(
     the ladder of a valley, so the mask must hold every valley,
     ``valley[n] = n - 1`` among them.
 
+    The heights and offsets are summed here; :func:`_fill` writes the
+    entries and jumps, with up, the next position one level higher, as a
+    temporary of n + 1 positions.
+
     Raises:
         ValueError: ``starts_at`` misses a valley.
     """
@@ -335,31 +352,65 @@ def _ladders(
     del heights
     ladder_data = np.empty(total, dtype=width)
     jump = np.empty(n, dtype=width)  # every entry is written below
+    up = np.empty(n + 1, dtype=position_dtype(n))
+    up[n] = n
+    _fill(data, y_min, y_max, up, (valley, kappa, starts, ladder_data, jump))
+    return starts, ladder_data, jump
 
-    # The right-to-left sweep, one block [a, b) at a time.  Position x
-    # is at level values[x] - y_min and has the key level * w + x - a,
-    # with w = BLOCK > x - a, so a key's level is key >> bits and x - a
-    # is key & (w - 1); a block's sorted keys run level by level, by
-    # position within a level.  The first position after x at level v
-    # is the first key at or above the needle v * w + x - a if that key
-    # is at level v, else next_at[v], the first position >= b at level
-    # v.  One slot beyond y_max keeps y_max + 1 addressable (always n).
+
+def _fill(
+    data: np.ndarray,
+    y_min: int,
+    y_max: int,
+    up: np.ndarray,
+    ladders: tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> None:
+    """The right-to-left block sweep behind the indexes over ``data``.
+
+    It writes ``up[x]``, the first position after x one level above
+    ``data[x]``, or n for none, for every x < n; ``up[n]`` must hold n.
+    With ``ladders``, the tuple (valley, kappa, starts, ladder_data, jump)
+    of :func:`_ladders`, it also writes every ladder entry and jump.
+
+    Position x is at level data[x] - y_min and has the key
+    level * w + x - a in its block [a, b), with w = BLOCK > x - a, so a
+    key's level is key >> bits and x - a is key & (w - 1); a block's
+    sorted keys run level by level, by position within a level.  The
+    first position after x at level v is the first key at or above the
+    needle v * w + x - a if that key is at level v, else next_at[v], the
+    first position >= b at level v, carried from the blocks to the right.
+    One slot beyond y_max keeps y_max + 1 addressable (always n).
+
+    A block searches its keys once, for needles in groups that each
+    ascend, so that each search starts near where the last one ended:
+    its keys one level up, which give up; its jumps by lowbit class, as
+    the jumps of one class climb alike; and the first key of each of its
+    levels, the carry.  On a 1-difference sequence entry r + 1 of a
+    ladder is up of entry r, so the first ``rows`` entries of each ladder
+    are chained through up; only the tall entries past them are
+    searched, in pieces of at most CHUNK, the last of which also holds
+    the block's other needles.
+    """
+    n = len(data)
     size = y_max - y_min + 2
     next_at = np.full(size, n, dtype=np.int64)
     w = BLOCK
     bits = BLOCK.bit_length() - 1
     top = (size - 1) * w  # a needle at level y_max + 1, which no key reaches
-    # a jump climbs (kappa - 2) * lowbit(x) levels, at most to y_max + 1,
-    # so kappa - 2 is cut to the level range first to stay in int64
-    step = min(kappa - 2, size - 1)
-    jump_keys = _LOWBIT[: min(n, BLOCK)] * (step * w)
+    jumps = tall_count = 0
+    if ladders is not None:
+        valley, kappa, starts, ladder_data, jump = ladders
+        # a jump climbs (kappa - 2) * lowbit(x) levels, at most to y_max + 1,
+        # so kappa - 2 is cut to the level range first to stay in int64
+        step = min(kappa - 2, size - 1)
+        jump_keys = _LOWBIT[: min(n, BLOCK)] * (step * w)
+        # entries 0 .. rows - 1 of each ladder are chained; one row at least,
+        # even where the spread y_max - y_min, which no ladder passes, is 0
+        rows = min(kappa - 1, CHAIN, max(size - 2, 1))
+        row = _ROW[:rows, None]
     for a in range(n - 1 - (n - 1) % BLOCK, -1, -BLOCK):
         b = min(a + BLOCK, n)
         m = b - a
-        # in int64: st * w passes 2^31 once the block's offsets pass 2^19
-        st = starts[a : b + 1].astype(np.int64)
-        s0 = int(st[0])
-        s1 = int(st[m])
         keys = np.empty(m + 1, dtype=np.int64)
         block_keys = keys[:m]
         np.subtract(data[a:b], y_min, out=block_keys)
@@ -369,30 +420,51 @@ def _ladders(
         sorted_keys = np.sort(keys)
         lo = int(sorted_keys[0]) >> bits
         hi = int(sorted_keys[m - 1]) >> bits  # a 1-difference block holds every level in [lo, hi]
-        # ladder_data[j] is entry k = j - starts[x] + 1 of ladder x, at
-        # level + k, so its needle is (key_x - starts[x] * w) + (j + 1) * w
-        base = block_keys - st[:-1] * w
-        # the block's ladder entries in pieces of at most CHUNK, and at
-        # least one piece; the last also holds the jump needles and the
-        # carry needles, which ask for the first position of each level
-        for j0 in range(s0, max(s1, s0 + 1), CHUNK):
-            j1 = min(j0 + CHUNK, s1)
-            k = j1 - j0
-            last = j1 == s1
-            needles = np.empty(k + m + hi - lo + 1 if last else k, dtype=np.int64)
-            cut = np.minimum(np.maximum(st, j0), j1)
-            np.add(
-                np.repeat(base, cut[1:] - cut[:-1]),
-                np.arange((j0 + 1) * w, (j1 + 1) * w, w),
-                out=needles[:k],
-            )
+        local = sorted_keys[:m] & (w - 1)  # x - a, in key order
+        if ladders is not None:
+            jumps = m
+            # in int64: the needle of a tall entry r adds (r + 1) * w to a
+            # key, by way of w times the entry's rank in the block, and
+            # either passes 2^31 from 2^19 on
+            st = starts[a : b + 1].astype(np.int64)
+            heights = st[1:] - st[:-1]
+            chained = row < heights  # [r, x]: entry r of ladder x is chained
+            tall_count = int(st[m] - st[0]) - int(np.count_nonzero(chained))
+            if tall_count:
+                # the tall entries are ranked through the block: ladder x
+                # holds ranks tall[x] to tall[x + 1], and rank q is its
+                # entry q - tall[x] + rows
+                tall = st - st[0]
+                tall[1:] -= np.cumsum(np.minimum(heights, rows))
+        for q0 in range(0, max(tall_count, 1), CHUNK):
+            q1 = min(q0 + CHUNK, tall_count)
+            t = q1 - q0
+            last = q1 == tall_count
+            needles = np.empty(t + m + jumps + hi - lo + 1 if last else t, dtype=np.int64)
+            if t:
+                # entry r of ladder x sits at st[x] + r and answers level
+                # + r + 1, so its needle is key_x + (r + 1) * w
+                cut = np.minimum(np.maximum(tall, q0), q1)
+                counts = cut[1:] - cut[:-1]
+                r0 = np.subtract(rows, tall[:m])  # r - q for the ranks q of ladder x
+                dst = np.repeat(st[:m] + r0, counts)
+                dst += np.arange(q0, q1)
+                r0 += 1
+                r0 *= w
+                r0 += block_keys
+                np.add(np.repeat(r0, counts), np.arange(q0 * w, q1 * w, w), out=needles[:t])
             if last:
-                jump_needles = needles[k : k + m]
-                np.add(block_keys, jump_keys[:m], out=jump_needles)
-                np.minimum(jump_needles, top, out=jump_needles)
-                # x = a climbs by lowbit(a), in Python integers: jump_keys[0] is 0
-                jump_needles[0] = min(int(block_keys[0]) + step * (a & -a) * w, top)
-                needles[k + m :] = np.arange(lo * w, (hi + 1) * w, w)
+                np.add(sorted_keys[:m], w, out=needles[t : t + m])
+                if jumps:
+                    jump_needles = block_keys + jump_keys[:m]
+                    np.minimum(jump_needles, top, out=jump_needles)
+                    # x = a climbs by lowbit(a), in Python integers: jump_keys[0] is 0
+                    jump_needles[0] = min(int(block_keys[0]) + step * (a & -a) * w, top)
+                    # by lowbit class, and in key order inside a class: the
+                    # sort is stable, and x = a, in a class of its own, comes last
+                    by_class = local[_CLASS[local].argsort(kind="stable")]
+                    jump_needles.take(by_class, out=needles[t + m : t + 2 * m])
+                needles[t + m + jumps :] = np.arange(lo * w, (hi + 1) * w, w)
 
             hit = sorted_keys[sorted_keys.searchsorted(needles)]
             hit_level = hit >> bits
@@ -400,18 +472,27 @@ def _ladders(
             hit += a
             level = needles >> bits
             answers = np.where(hit_level == level, hit, next_at[level])
-            ladder_data[j0:j1] = answers[:k]
+            if t:
+                ladder_data[dst] = answers[:t]
+        up[a:b][local] = answers[t : t + m]
+        next_at[lo : hi + 1] = answers[t + m + jumps :]
+        if ladders is None:
+            continue
         # each jump as the offset of its base ladder, moved down by the
         # base's level and one more, so that the base's entry for a
         # target y sits at jump[x] + y - y_min
-        bases = valley[answers[k : k + m]]
+        bases = valley[answers[t + m : t + 2 * m]]
         levels = data[bases]
         levels -= y_min
         levels += 1
-        np.subtract(starts[bases], levels, out=jump[a:b])
-        del bases, levels  # not kept alive beside the next block's temporaries
-        next_at[lo : hi + 1] = answers[k + m :]
-    return starts, ladder_data, jump
+        jump[a:b][by_class] = starts[bases] - levels
+        del bases, levels  # not kept alive beside the chain's temporaries
+        # row r holds entry r of every ladder of the block: up[x] for r = 0
+        chain = np.empty((rows, m), dtype=up.dtype)
+        chain[0] = up[a:b]
+        for r in range(1, rows):
+            up.take(chain[r - 1], out=chain[r], mode="clip")
+        ladder_data[(st[:m] + row)[chained]] = chain[chained]
 
 
 class OneLevelFL:
@@ -424,13 +505,18 @@ class OneLevelFL:
 
     Ladders and jumps are filled by one right-to-left sweep over blocks of
     ``BLOCK`` positions.  A block sorts its positions by (value, position)
-    and answers every "first position after x holding value v" it needs,
-    for its ladder entries, its jumps and the carry to the next block,
+    and answers every "first position after x holding value v" it needs
     with one binary search over those keys; what the block cannot answer
     comes from the first position after it at that value, carried from
-    the blocks to its right.  A block's ladder entries are searched in
-    pieces of at most ``CHUNK``, so temporaries stay at the size of one
-    block, and the block's keys stay in cache.
+    the blocks to its right.  The needles run in ascending groups: every
+    position one value up, which gives up[x], the next position one value
+    higher than x; the jumps, by the power of two they climb by; and the
+    carry to the next block.  As the sequence passes every value between
+    two of its values, entry j + 1 of a ladder is up of entry j, so the
+    first kappa - 1 entries of each ladder (at most ``CHAIN``) are chained
+    through up, and only the taller entries are searched, in pieces of at
+    most ``CHUNK``.  Temporaries stay at the size of one block, and the
+    block's keys stay in cache.
 
     All ladders share one array, ``ladder_data``; ladder x spans
     ``ladder_data[ladder_start[x]:ladder_start[x + 1]]``, so

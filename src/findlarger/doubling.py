@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import position_dtype, validate_sequence
+from .core import _fill, position_dtype, validate_sequence
 
 __all__ = ["DoublingFL"]
 
@@ -38,18 +38,11 @@ class DoublingFL:
         # levels cover every gap t in 1..spread: floor(log2 t) <= levels - 1
         levels = max(spread.bit_length(), 1)
 
-        # level 0 by a right-to-left sweep over "next position at value v",
-        # written into the table's first row
-        width = position_dtype(n)
-        table = np.empty((levels, n + 1), dtype=width)
+        # level 0 is the next position one level up, which the blocked
+        # fill of the one-level index computes, written into the first row
+        table = np.empty((levels, n + 1), dtype=position_dtype(n))
         table[:, n] = n  # bottom is absorbing
-        next_at = memoryview(np.full(spread + 2, n, dtype=width))
-        row0 = memoryview(table[0])
-        off = -y_min
-        for x in range(n - 1, -1, -1):
-            i = values[x] + off
-            next_at[i] = x
-            row0[x] = next_at[i + 1]
+        _fill(data, y_min, y_max, table[0])
         for k in range(1, levels):
             # rising 2^k = rising 2^(k-1) twice; exact landing makes this compose
             prev = table[k - 1, :n]

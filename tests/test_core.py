@@ -300,6 +300,19 @@ class TestPositionWidth:
             assert np.asarray(got).dtype == np.int32
             assert got.tobytes() == np.array(want, dtype=np.int32).tobytes()
 
+    def test_tall_needles_past_int32(self):
+        # ladders 0 and 1 hold n - 3 and n - 2 entries, nearly all searched:
+        # the needle of entry r adds (r + 1) * BLOCK to a key, by way of
+        # BLOCK times the entry's rank in the block, both past 2^31 here
+        n = 2**31 // BLOCK + BLOCK
+        values = np.arange(-1, n - 1, dtype=np.int64)
+        values[0] = 1
+        s = OneLevelFL(values, 5)
+        starts = s.ladder_start
+        assert np.asarray(s.ladder_data).dtype == np.int32
+        assert np.array_equal(s.ladder_data[starts[0] : starts[1]], np.arange(3, n))
+        assert np.array_equal(s.ladder_data[starts[1] : starts[2]], np.arange(2, n))
+
 
 class TestQuery:
     def test_frozen_answers(self):

@@ -1,10 +1,13 @@
 """Doubling baseline against the scan oracle."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from findlarger import DoublingFL
+from findlarger.core import BLOCK
+from findlarger.gen import random_walk_values
 from findlarger.oracle import enumerate_sequences, naive_fl
 
 from conftest import full_grid, one_diff_lists
@@ -60,3 +63,30 @@ def test_entry_count_and_bytes():
     assert d.entry_count() == 4 * 11
     assert d.table.dtype == np.int32  # positions below 2^31
     assert d.resident_bytes() == d.table.nbytes + 8 * 10
+
+
+def level_zero(values):
+    """Level 0 of the table, the first position after x one value higher,
+    by a right-to-left loop over "next position at value v"."""
+    n = len(values)
+    y_min = min(values)
+    next_at = [n] * (max(values) - y_min + 2)
+    row = [n] * (n + 1)
+    for x in range(n - 1, -1, -1):
+        i = values[x] - y_min
+        next_at[i] = x
+        row[x] = next_at[i + 1]
+    return row
+
+
+@pytest.mark.parametrize("n", [1, 9, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+@pytest.mark.parametrize("bias", [-0.6, 0.0, 0.6, None])
+def test_level_zero_equals_the_per_position_loop(n, bias):
+    if bias is None:  # a V of 2n values
+        values = list(range(n, 0, -1)) + list(range(n))
+    else:
+        values = random_walk_values(n, seed=n, bias=bias)
+    lo, hi = min(values), max(values)
+    for shift in (0, -(2**63) - lo, 2**63 - 1 - hi):  # touch both int64 limits
+        shifted = [v + shift for v in values]
+        assert DoublingFL(shifted).table[0].tolist() == level_zero(shifted), shift

@@ -28,7 +28,7 @@ from findlarger import (
     parse_parent_array,
 )
 from findlarger import compute_valleys, trees
-from findlarger.core import _ladders
+from findlarger.core import BLOCK, _ladders
 from findlarger.formats import write_parens
 from findlarger.gen import random_parent_array
 from findlarger.oracle import naive_la
@@ -547,3 +547,48 @@ def test_a_start_mask_missing_a_valley_is_refused():
         holed[missing] = False
         with pytest.raises(ValueError, match=f"valley {missing} of position"):
             _ladders(values, valley, 5, int(values.min()), 0, holed)
+
+
+def jump_bases(values, valley, kappa):
+    """The position each jump of the find-larger build over ``values``
+    lands on, by a per-position right-to-left loop over Python integers."""
+    n = len(values)
+    y_min = min(values)
+    size = max(values) - y_min + 2
+    next_at = [n] * size  # the first position >= x at each level
+    base = [0] * n
+    for x in range(n - 1, -1, -1):
+        i = values[x] - y_min
+        next_at[i] = x
+        base[x] = valley[next_at[min(i + (kappa - 2) * (x & -x), size - 1)]]
+    return base
+
+
+@pytest.mark.parametrize("kappa", [3, 5, 2**62])
+def test_masked_ladders_are_the_full_ones_less_the_dropped(kappa):
+    # the negated depths of a tour of more than 3 blocks, masked as
+    # LevelAncestorIndex masks them: first visits and the last stop
+    tour = euler_tour(Tree.from_parents(random_parent_array(6500, 21, 0.5)))
+    values = -tour.depths
+    n = len(values)
+    assert n > 3 * BLOCK
+    valley = compute_valleys(values.tolist())
+    starts_at = np.zeros(n, dtype=bool)
+    starts_at[tour.first_pos] = True
+    starts_at[-1] = True
+    y_min = int(values.min())
+    full_starts, full_data, full_jump = _ladders(values, valley, kappa, y_min, 0)
+    starts, ladder_data, jump = _ladders(values, valley, kappa, y_min, 0, starts_at)
+
+    full_heights = full_starts[1:] - full_starts[:-1]
+    want_starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(full_heights * starts_at, out=want_starts[1:])
+    want_data = full_data[np.repeat(starts_at, full_heights)]
+    # a jump's offset moves down by the entries dropped before its base
+    base = np.array(jump_bases(values.tolist(), valley.tolist(), kappa))
+    assert (full_jump == full_starts[base] - (values[base] - y_min) - 1).all()
+    want_jump = full_jump - (full_starts - want_starts)[base]
+    assert 0 < len(ladder_data) < len(full_data)
+    for got, want in ((starts, want_starts), (ladder_data, want_data), (jump, want_jump)):
+        assert got.dtype == np.int32
+        assert got.tobytes() == want.astype(np.int32).tobytes()
