@@ -13,7 +13,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .bench import CSV_HEADER, STRUCTURES, run_bench
+from .bench import CSV_HEADER, run_bench
 from .core import OneLevelFL, compute_valleys, validate_sequence
 from .formats import FORMATS, read_sequence, read_tree, write_parens, write_parent_array, write_sequence
 from .gen import random_parent_array, random_walk_values
@@ -69,9 +69,6 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     structures = [s.strip() for s in args.structures.split(",") if s.strip()]
-    for s in structures:
-        if s not in STRUCTURES:
-            raise ValueError(f"unknown structure {s!r}; pick from {', '.join(STRUCTURES)}")
     if args.input is not None:
         values = read_sequence(_read_text(args.input))
     else:
@@ -114,13 +111,13 @@ def cmd_inspect(args) -> int:
     row("Valley", valley)
     row("Weight", weight)
     row("JumpOffset", s.jump)
-    starts = s.ladder_start
-    heights = [starts[x + 1] - starts[x] for x in range(s.n)]
+    # own[x] = start(x) + (y_max - values[x]) - 1, and the last ladder ends the data
+    starts = np.append(np.asarray(s.own) - (s.y_max - seq) + 1, len(s.ladder_data))
+    heights = np.diff(starts)
     row("LadderStart", starts[: s.n])
     row("LadderHeight", heights)
-    for x, h in enumerate(heights):
-        if h:
-            row(f"Ladder[{x}]", s.ladder_data[starts[x] : starts[x + 1]])
+    for x in np.flatnonzero(heights):
+        row(f"Ladder[{x}]", s.ladder_data[starts[x] : starts[x + 1]])
     print(f"total_ladder_entries: {report.total_ladder_entries}")
     print(f"interior_ladder_entries: {report.interior_ladder_entries}")
     print(f"interior_bound: {report.interior_bound}")

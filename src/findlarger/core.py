@@ -12,7 +12,11 @@ structure over the negated sequence, see :func:`fs_query`.
 
 Sequence values are stored as int64.  Arrays of positions and offsets
 take the width :func:`position_dtype` picks from the largest value they
-must hold: int32 below 2^31, int64 otherwise.
+must hold: int32 below 2^31, int64 otherwise.  The ladders of both the
+find-larger index and the level-ancestor index are laid out by one
+function, ``_ladders``: an offset o into the shared ladder array,
+anchored at the largest value y_max, holds the entry for a target y at
+``o + y - y_max``.
 """
 
 from __future__ import annotations
@@ -269,7 +273,7 @@ class SpaceReport:
     are allowed to reach full height; the remaining ladders obey
     ``interior_ladder_entries <= (kappa - 1 + kappa_prime) * n``.
     ``words`` counts every stored entry: the n values, the n jumps, the
-    n + 1 ladder offsets and the ladder entries.  The values take 8 bytes
+    n own-ladder offsets and the ladder entries.  The values take 8 bytes
     each; the rest take 4 or 8, see :func:`position_dtype`.
     """
 
@@ -297,10 +301,21 @@ def _ladders(
     y_max: int,
     starts_at: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ladder offsets, ladder entries and jump offsets of the
-    find-larger index over ``data``, laid out as :class:`OneLevelFL`
-    keeps them.  ``valley`` is what :func:`_sweep_valleys` returns for
-    ``data``, and ``y_min`` and ``y_max`` are its least and largest values.
+    """The own-ladder offsets, ladder entries and jump offsets of the
+    find-larger index over ``data``, as both :class:`OneLevelFL` and
+    ``LevelAncestorIndex`` keep them.  ``valley`` is what
+    :func:`_sweep_valleys` returns for ``data``, and ``y_min`` and
+    ``y_max`` are its least and largest values.
+
+    Every offset is anchored at ``y_max``: the entry for a target y of
+    the ladder an offset o names is ``ladder_data[o + y - y_max]``.
+    ``own[x]`` names x's own ladder, ``start(x) + (y_max - data[x]) - 1``
+    for the ladder's first entry start(x), and ``jump[x]`` is
+    ``own[b]`` for the base b that x jumps to.  The offsets lie in
+    [-1, total + y_max - y_min) for total ladder entries, so all three
+    arrays take the width :func:`position_dtype` picks for the larger of
+    that bound and n.  ``own`` is a view of the first n entries of a
+    buffer of n + 1.
 
     ``starts_at`` is a boolean mask of the positions where queries may
     start, None for all of them.  A position outside it gets an empty
@@ -309,9 +324,10 @@ def _ladders(
     the ladder of a valley, so the mask must hold every valley,
     ``valley[n] = n - 1`` among them.
 
-    The heights and offsets are summed here; :func:`_fill` writes the
-    entries and jumps, with up, the next position one level higher, as a
-    temporary of n + 1 positions.
+    The heights and ladder starts are summed here; :func:`_fill` writes
+    the entries and jumps, with up, the next position one level higher,
+    as a temporary of n + 1 positions; the starts then become ``own`` in
+    place.
 
     Raises:
         ValueError: ``starts_at`` misses a valley.
@@ -324,7 +340,7 @@ def _ladders(
             raise ValueError(f"the valley {valley[x]} of position {x} lies outside the start mask")
     kappa_prime = _kappa_prime(kappa)
 
-    # ladder offsets, summed from the heights: endpoints reach the top;
+    # ladder starts, summed from the heights: endpoints reach the top;
     # interior ladders grow with the weight of their valley, as
     # kappa_prime * (weight - 1) - 2 but at least kappa - 1, and never
     # pass the top.  No height exceeds y_max - y_min, so the floor is
@@ -343,9 +359,9 @@ def _ladders(
         heights *= starts_at
     np.cumsum(heights, out=heights)
     # offsets and positions take the width of the larger of n and the
-    # total, read from the int64 sum before the arrays are allocated
+    # offsets' bound, read from the int64 sum before the arrays are allocated
     total = int(heights[-1])
-    width = position_dtype(max(n, total))
+    width = position_dtype(max(n, total + y_max - y_min))
     starts = np.empty(n + 1, dtype=width)
     starts[0] = 0
     starts[1:] = heights
@@ -355,7 +371,12 @@ def _ladders(
     up = np.empty(n + 1, dtype=position_dtype(n))
     up[n] = n
     _fill(data, y_min, y_max, up, (valley, kappa, starts, ladder_data, jump))
-    return starts, ladder_data, jump
+    # own[x] = start(x) + (y_max - data[x]) - 1, in place and in pieces
+    # of BLOCK, so that its int64 temporaries stay below the fill's
+    own = starts[:n]
+    for j in range(0, n, BLOCK):
+        own[j : j + BLOCK] -= data[j : j + BLOCK] - y_max + 1
+    return own, ladder_data, jump
 
 
 def _fill(
@@ -478,12 +499,12 @@ def _fill(
         next_at[lo : hi + 1] = answers[t + m + jumps :]
         if ladders is None:
             continue
-        # each jump as the offset of its base ladder, moved down by the
-        # base's level and one more, so that the base's entry for a
-        # target y sits at jump[x] + y - y_min
+        # each jump as its base's own offset, start(b) + (y_max - data[b])
+        # - 1, so that the base's entry for a target y sits at
+        # jump[x] + y - y_max
         bases = valley[answers[t + m : t + 2 * m]]
         levels = data[bases]
-        levels -= y_min
+        levels -= y_max
         levels += 1
         jump[a:b][by_class] = starts[bases] - levels
         del bases, levels  # not kept alive beside the chain's temporaries
@@ -518,19 +539,16 @@ class OneLevelFL:
     most ``CHUNK``.  Temporaries stay at the size of one block, and the
     block's keys stay in cache.
 
-    All ladders share one array, ``ladder_data``; ladder x spans
-    ``ladder_data[ladder_start[x]:ladder_start[x + 1]]``, so
-    ``ladder_start`` has n + 1 entries and its last is
-    ``len(ladder_data)``.  Entry j of ladder x answers the target
-    ``values[x] + j + 1``.  ``jump[x]`` holds no position but an offset
-    into ``ladder_data``: for the base position b that x jumps to, it is
-    ``ladder_start[b] - (values[b] - y_min) - 1``, so that b's entry for a
-    target y is ``ladder_data[jump[x] + y - y_min]``, one read.  The
-    offsets lie in [-n, len(ladder_data)).  ``jump``, ``ladder_start``
-    and ``ladder_data`` are memoryviews of ndarrays, cheaper to read one
-    entry at a time.  All three take the width :func:`position_dtype`
-    picks for the larger of n and the number of ladder entries, so int32
-    short of 2^31 entries; the fill itself computes in int64.
+    All ladders share one array, ``ladder_data``, and are named by
+    offsets anchored at ``y_max``: the ladder an offset o names holds its
+    entry for a target y at ``ladder_data[o + y - y_max]``, one read.
+    ``own[x]`` names x's own ladder, whose entry j answers the target
+    ``values[x] + j + 1``, and ``jump[x]`` is ``own[b]`` for the base b
+    that x jumps to.  The offsets lie in [-1, len(ladder_data) + y_max -
+    y_min).  ``own``, ``jump`` and ``ladder_data`` are memoryviews of
+    ndarrays, cheaper to read one entry at a time; all three take the
+    width :func:`position_dtype` picks for the larger of n and that
+    bound, so int32 short of 2^31; the fill itself computes in int64.
 
     The structure is immutable after construction and safe to share
     between threads.
@@ -556,7 +574,7 @@ class OneLevelFL:
         "y_max",
         "bottom",
         "jump",
-        "ladder_start",
+        "own",
         "ladder_data",
         "build_stats",
         "_values",
@@ -571,7 +589,7 @@ class OneLevelFL:
         valley, pushes, pops = _sweep_valleys(values, n)
         y_min = int(data.min())
         y_max = int(data.max())
-        starts, ladder_data, jump = _ladders(data, valley, kappa, y_min, y_max)
+        own, ladder_data, jump = _ladders(data, valley, kappa, y_min, y_max)
 
         self._values = values
         self.n = n
@@ -581,7 +599,8 @@ class OneLevelFL:
         self.y_max = y_max
         self.bottom = n
         self.jump = memoryview(jump)
-        self.ladder_start = memoryview(starts)
+        # a slice of the memoryview of own's n + 1 buffer keeps no ndarray view
+        self.own = memoryview(own.base)[:n]
         self.ladder_data = memoryview(ladder_data)
         self.build_stats = BuildStats(pushes, pops, len(ladder_data))
 
@@ -604,17 +623,18 @@ class OneLevelFL:
         if t < self.kappa:
             # own ladder is tall enough: heights are at least
             # min(kappa - 1, y_max - values[x]) everywhere
-            if __debug__:
-                assert t <= self.ladder_start[x + 1] - self.ladder_start[x]
-            return self.ladder_data[self.ladder_start[x] + t - 1]
-        # align x down to a multiple of p, the largest power of two at most
-        # t // kappa, avoiding positions whose power-of-two weight exceeds p
-        p = t // self.kappa
-        p = 1 << (p.bit_length() - 1)
-        xh = x & -p
-        if xh and not xh & p:
-            xh -= p
-        i = self.ladder_data[self.jump[xh] + y - self.y_min]
+            o = self.own[x]
+        else:
+            # align x down to a multiple of p, the largest power of two at
+            # most t // kappa, avoiding positions whose power-of-two weight
+            # exceeds p
+            p = t // self.kappa
+            p = 1 << (p.bit_length() - 1)
+            xh = x & -p
+            if xh and not xh & p:
+                xh -= p
+            o = self.jump[xh]
+        i = self.ladder_data[o + y - self.y_max]
         if __debug__:
             assert i == n or (i >= x and values[i] == y)
         return i
@@ -627,12 +647,12 @@ class OneLevelFL:
     def space_report(self) -> SpaceReport:
         """Exact entry counts against the linear-space bound."""
         n = self.n
-        starts = self.ladder_start
+        own, values = self.own, self._values
         total = len(self.ladder_data)
-        # all but the endpoint ladders 0 and n - 1
-        interior = starts[n - 1] - starts[1] if n > 1 else 0
-        # values + jump + ladder_start (n + 1) + ladder data
-        words = 3 * n + 1 + total
+        # all but the endpoint ladders 0 and n - 1: start(n - 1) - start(1)
+        interior = own[n - 1] - own[1] + values[n - 1] - values[1] if n > 1 else 0
+        # values + jump + own + ladder data
+        words = 3 * n + total
         return SpaceReport(
             n=n,
             kappa=self.kappa,
@@ -646,12 +666,15 @@ class OneLevelFL:
 
     def entry_count(self) -> int:
         """Stored entries, as counted by :meth:`space_report`."""
-        return self.space_report().words
+        return sum(len(a) for a in self._arrays())
 
     def resident_bytes(self) -> int:
-        """Bytes held by the stored arrays: the values, jumps, ladder
+        """Bytes held by the stored arrays: the values, jumps, own-ladder
         offsets and ladder entries."""
-        return sum(a.nbytes for a in (self._values, self.jump, self.ladder_start, self.ladder_data))
+        return sum(a.nbytes for a in self._arrays())
+
+    def _arrays(self) -> tuple[memoryview, ...]:
+        return (self._values, self.jump, self.own, self.ladder_data)
 
 
 def fs_query(structure: OneLevelFL, x: int, d: int) -> int:

@@ -81,9 +81,9 @@ class DoublingFL:
         return cur
 
     def entry_count(self) -> int:
-        """Stored table entries: levels * (n + 1)."""
-        return self.table.size
+        """Stored entries: the n values and levels * (n + 1) table entries."""
+        return len(self._values) + self.table.size
 
     def resident_bytes(self) -> int:
-        """Bytes held by the table and the values."""
-        return self.table.nbytes + self._values.nbytes
+        """Bytes held by the values and the table."""
+        return self._values.nbytes + self.table.nbytes

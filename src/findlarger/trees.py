@@ -456,21 +456,15 @@ class LevelAncestorIndex:
     get ladders; the n - 1 return stops get none.
 
     It keeps only what ``query`` reads, as memoryviews: each node's
-    ``first_pos`` and ``depth`` from the tour, ``own``, ``jump`` and
-    ``ladder_data``.  The ladder entries are translated from tour stops
-    to the nodes at those stops.  ``own[v]`` is
-    ``ladder_start[first_pos[v]] + depth(v) - 1``, so the short climb
-    reads ``ladder_data[own[v] - d]``; each jump offset is moved up by
-    the largest depth D, so the jump reads ``ladder_data[jump[xh] - d]``,
-    and holds ``ladder_start[b] + depth(b) - 1`` for its base b.  Both
-    offsets lie in [-1, len(ladder_data) + D), since a ladder starts in
-    [0, len(ladder_data)] and a depth lies in [0, D]; the return stops
-    after b hold no ladder entries, so an offset can pass the end of
-    ``ladder_data``, though no read does.  They take the width
-    :func:`~findlarger.core.position_dtype` picks for that range, so all
-    five arrays are int32 while len(ladder_data) + D stays below 2^31.
-    Neither the tree, the rest of the tour nor the ladder starts are
-    kept.
+    ``first_pos`` and ``depth`` from the tour, and the ``own``, ``jump``
+    and ``ladder_data`` that :func:`~findlarger.core._ladders` lays out,
+    with ``own`` kept at the first visits only.  The ladder entries are
+    translated from tour stops to the nodes at those stops.  The negated
+    depths have largest value 0, where the offsets are anchored, so the
+    ancestor at depth d of the ladder an offset o names is
+    ``ladder_data[o - d]``: ``own[v]`` for a short climb, the aligned
+    ``jump[xh]`` for a taller one.  Neither the tree, the rest of the
+    tour nor the ladder starts are kept.
 
     Raises InvalidKappaError for a kappa that is not an int of at least 3
     before the tour is built, and TreeTooLargeError for a tree
@@ -492,22 +486,15 @@ class LevelAncestorIndex:
         starts_at = np.zeros(n, dtype=bool)
         starts_at[first_pos] = True
         starts_at[-1] = True
-        starts, ladder_data, jump = _ladders(depths, valley, kappa, -largest, 0, starts_at)
+        own, ladder_data, jump = _ladders(depths, valley, kappa, -largest, 0, starts_at)
         del valley, starts_at
-        width = position_dtype(len(ladder_data) + largest - 1)
-        own = starts[first_pos].astype(width, copy=False)
-        own += depth
-        own -= 1
-        del starts
-        # y_min is -largest, so a jump offset moved up by largest reads
-        # depth d's entry at jump[xh] - d
-        jump = jump.astype(width, copy=False)
-        jump += largest
-        # stops to nodes, in place, in pieces: no temporary of the ladders' length
+        own = own[first_pos]  # by node, at its first visit
+        # stops to nodes, in place, in pieces: no temporary of the ladders'
+        # length; assigned, as the ladders can be wider than the tour
         nodes = tour.nodes
         for j in range(0, len(ladder_data), CHUNK):
             piece = ladder_data[j : j + CHUNK]
-            np.take(nodes, piece, out=piece)
+            piece[:] = nodes.take(piece)
         self.first_pos = memoryview(first_pos)
         self.depth = memoryview(depth)
         self.kappa = kappa
@@ -531,7 +518,7 @@ class LevelAncestorIndex:
         if t == 0:
             return v
         if t < self.kappa:
-            a = self.ladder_data[self.own[v] - d]
+            o = self.own[v]
         else:
             # the aligned jump of OneLevelFL.query
             x = self.first_pos[v]
@@ -540,7 +527,8 @@ class LevelAncestorIndex:
             xh = x & -p
             if xh and not xh & p:
                 xh -= p
-            a = self.ladder_data[self.jump[xh] - d]
+            o = self.jump[xh]
+        a = self.ladder_data[o - d]
         if __debug__:
             assert depth[a] == d
         return a

@@ -19,7 +19,7 @@ from findlarger import (
     validate_sequence,
 )
 from findlarger.bench import ScanFL
-from findlarger.core import BLOCK, CHUNK, compute_valleys, position_dtype
+from findlarger.core import BLOCK, CHAIN, CHUNK, compute_valleys, position_dtype
 from findlarger.gen import random_walk_values
 from findlarger.oracle import naive_fl, naive_fs
 from findlarger.trees import parse_parent_array
@@ -30,15 +30,16 @@ from conftest import full_grid, one_diff_lists
 EXAMPLE = [1, 0, 1, 2, 1, 2]
 
 
-def heights(s):
-    """Ladder heights of a built structure, from its adjacent offsets."""
-    starts = s.ladder_start
-    return [starts[x + 1] - starts[x] for x in range(s.n)]
+def ladder_starts(s, values):
+    """Where each ladder of a built structure starts in ``ladder_data``,
+    then where the last one ends: own[x] = start(x) + (y_max - values[x]) - 1."""
+    own = np.asarray(s.own, dtype=np.int64)
+    return np.append(own - (s.y_max - np.asarray(values, dtype=np.int64)) + 1, len(s.ladder_data)).tolist()
 
 
-def jump_offset(s, values, base):
-    """The jump entry of a position whose jump lands on ``base``."""
-    return s.ladder_start[base] - (values[base] - s.y_min) - 1
+def heights(s, values):
+    """Ladder heights of a built structure, from its adjacent starts."""
+    return np.diff(ladder_starts(s, values)).tolist()
 
 
 class TestValidateSequence:
@@ -156,42 +157,48 @@ class TestBuildExample:
         s = OneLevelFL(EXAMPLE, 5)
         assert s.n == 6 and s.bottom == 6
         assert (s.y_min, s.y_max) == (0, 2)
-        assert list(s.ladder_start) == [0, 1, 3, 4, 4, 5, 5]
+        # own[x] = start(x) + (y_max - values[x]) - 1
+        assert list(s.own) == [0, 2, 3, 3, 4, 4]
+        assert ladder_starts(s, EXAMPLE) == [0, 1, 3, 4, 4, 5, 5]
         # position 0 jumps to its own ladder, every other one to ladder 5,
-        # each stored as ladder_start[base] - (values[base] - y_min) - 1
-        assert list(s.jump) == [jump_offset(s, EXAMPLE, b) for b in [0, 5, 5, 5, 5, 5]]
-        assert list(s.jump) == [-2, 2, 2, 2, 2, 2]
-        # ladder x spans ladder_start[x] .. ladder_start[x + 1]
-        assert heights(s) == [1, 2, 1, 0, 1, 0]
+        # each stored as own[base]
+        assert list(s.jump) == [s.own[b] for b in [0, 5, 5, 5, 5, 5]]
+        assert list(s.jump) == [0, 4, 4, 4, 4, 4]
+        # ladder x spans start(x) .. start(x + 1)
+        assert heights(s, EXAMPLE) == [1, 2, 1, 0, 1, 0]
         # entries are full find-larger answers: L_0 = [3], L_1 = [2, 3], ...
         assert list(s.ladder_data) == [3, 2, 3, 3, 5]
 
     def test_every_ladder_entry_matches_the_oracle(self):
         for kappa in (3, 4, 5, 6):
             s = OneLevelFL(EXAMPLE, kappa)
-            for x, h in enumerate(heights(s)):
-                st_ = s.ladder_start[x]
+            starts = ladder_starts(s, EXAMPLE)
+            for x, h in enumerate(heights(s, EXAMPLE)):
                 for j in range(h):
-                    assert s.ladder_data[st_ + j] == naive_fl(EXAMPLE, x, EXAMPLE[x] + 1 + j)
+                    assert s.ladder_data[starts[x] + j] == naive_fl(EXAMPLE, x, EXAMPLE[x] + 1 + j)
+                    # the own offset reads the same entry for its target
+                    y = EXAMPLE[x] + 1 + j
+                    assert s.ladder_data[s.own[x] + y - s.y_max] == s.ladder_data[starts[x] + j]
 
     def test_jump_of_zero_is_zero(self):
         # position 0 jumps to its own ladder
         for kappa in (3, 4, 5):
             for values in (EXAMPLE, list(range(16))):
                 s = OneLevelFL(values, kappa)
-                assert s.jump[0] == jump_offset(s, values, 0) == -(values[0] - s.y_min) - 1
+                assert s.jump[0] == s.own[0] == s.y_max - values[0] - 1
 
     def test_endpoint_ladders_reach_the_top(self):
         s = OneLevelFL(EXAMPLE, 5)
-        assert heights(s)[0] == s.y_max - EXAMPLE[0]
-        assert heights(s)[5] == s.y_max - EXAMPLE[5]
+        assert heights(s, EXAMPLE)[0] == s.y_max - EXAMPLE[0]
+        assert heights(s, EXAMPLE)[5] == s.y_max - EXAMPLE[5]
 
 
 def reference_build(values, kappa):
-    """Ladder offsets, ladders and jumps by a per-position right-to-left
+    """Own offsets, ladders and jumps by a per-position right-to-left
     loop over Python integers: the reference the blocked fill must equal.
-    Each jump is computed as its base position, then stored as the offset
-    ``starts[base] - (values[base] - y_min) - 1``."""
+    Each ladder is placed at a start summed from the heights, then named
+    by the offset ``own[x] = starts[x] + (y_max - values[x]) - 1``; each
+    jump is computed as its base position, then stored as ``own[base]``."""
     n = len(values)
     valley = compute_valleys(values).tolist()
     y_min, y_max = min(values), max(values)
@@ -220,8 +227,8 @@ def reference_build(values, kappa):
         if x:
             t = min(i + (kappa - 2) * (x & -x), size - 1)
             base[x] = valley[next_at[t]]
-    jump = [starts[b] - (values[b] - y_min) - 1 for b in base]
-    return starts, ladder_data, jump
+    own = [st + (y_max - y) - 1 for st, y in zip(starts, values)]
+    return own, ladder_data, [own[b] for b in base]
 
 
 def path_tour(n):
@@ -256,8 +263,8 @@ class TestBlockedFill:
             shifted = [v + shift for v in values]
             for kappa in kappas:
                 s = OneLevelFL(shifted, kappa)
-                starts, ladder_data, jump = reference_build(shifted, kappa)
-                assert s.ladder_start.tolist() == starts, (shift, kappa)
+                own, ladder_data, jump = reference_build(shifted, kappa)
+                assert s.own.tolist() == own, (shift, kappa)
                 assert s.ladder_data.tolist() == ladder_data, (shift, kappa)
                 assert s.jump.tolist() == jump, (shift, kappa)
 
@@ -292,11 +299,13 @@ class TestPositionWidth:
     def test_int32_arrays_equal_the_per_position_loop(self, n, kappa):
         values = random_walk_values(n, seed=n)
         s = OneLevelFL(values, kappa)
-        starts, ladder_data, jump = reference_build(values, kappa)
-        # a needle is starts[x] * BLOCK plus a little: past 2^31 here,
-        # so a fill computed in int32 would wrap
-        assert starts[-1] * BLOCK >= 2**31
-        for got, want in ((s.ladder_start, starts), (s.ladder_data, ladder_data), (s.jump, jump)):
+        own, ladder_data, jump = reference_build(values, kappa)
+        # every block holds a ladder taller than its chained entries, so
+        # both ways the fill writes an entry, chained through up and
+        # searched, reach the int32 arrays in every block
+        tall = np.diff(ladder_starts(s, values)) > min(kappa - 1, CHAIN)
+        assert all(tall[a : a + BLOCK].any() for a in range(0, n, BLOCK))
+        for got, want in ((s.own, own), (s.ladder_data, ladder_data), (s.jump, jump)):
             assert np.asarray(got).dtype == np.int32
             assert got.tobytes() == np.array(want, dtype=np.int32).tobytes()
 
@@ -308,7 +317,7 @@ class TestPositionWidth:
         values = np.arange(-1, n - 1, dtype=np.int64)
         values[0] = 1
         s = OneLevelFL(values, 5)
-        starts = s.ladder_start
+        starts = ladder_starts(s, values)
         assert np.asarray(s.ladder_data).dtype == np.int32
         assert np.array_equal(s.ladder_data[starts[0] : starts[1]], np.arange(3, n))
         assert np.array_equal(s.ladder_data[starts[1] : starts[2]], np.arange(2, n))
@@ -337,7 +346,7 @@ class TestQuery:
     def test_staircase_jump_path(self):
         # ascending staircase forces the aligned-position branch
         s = OneLevelFL(list(range(16)), 5)
-        assert s.jump[2] == jump_offset(s, range(16), 0) == -1  # into ladder 0
+        assert s.jump[2] == s.own[0] == 14  # into ladder 0
         assert s.query(3, 15) == 15
         assert s.query(0, 15) == 15
         down = OneLevelFL(list(range(15, -1, -1)), 5)
@@ -392,7 +401,7 @@ class TestSpaceAndStats:
         assert r.total_ladder_entries == 5
         assert r.interior_ladder_entries == 4
         assert r.interior_bound == 48
-        assert r.words == 3 * 6 + 1 + 5
+        assert r.words == 3 * 6 + 5
 
     @settings(max_examples=150, deadline=None)
     @given(one_diff_lists(max_n=80), st.integers(3, 7))
@@ -414,6 +423,6 @@ class TestSpaceAndStats:
     def test_resident_bytes_are_the_arrays_nbytes(self):
         s = OneLevelFL(EXAMPLE, 5)
         r = s.space_report()
-        # 6 int64 values; 6 jumps, 7 offsets and 5 ladder entries in int32
-        assert s.resident_bytes() == 8 * 6 + 4 * (6 + 7 + 5) == 120
-        assert s.entry_count() == r.words == 6 + 6 + 7 + 5
+        # 6 int64 values; 6 jumps, 6 own offsets and 5 ladder entries in int32
+        assert s.resident_bytes() == 8 * 6 + 4 * (6 + 6 + 5) == 116
+        assert s.entry_count() == r.words == 6 + 6 + 6 + 5

@@ -60,7 +60,7 @@ def test_random_grid(values):
 def test_entry_count_and_bytes():
     d = DoublingFL(list(range(10)))
     assert d.levels == 4  # spread 9 needs rises of 1, 2, 4, 8
-    assert d.entry_count() == 4 * 11
+    assert d.entry_count() == 4 * 11 + 10  # the table and the values
     assert d.table.dtype == np.int32  # positions below 2^31
     assert d.resident_bytes() == d.table.nbytes + 8 * 10
 

@@ -27,7 +27,7 @@ from findlarger import (
     parse_balanced_parens,
     parse_parent_array,
 )
-from findlarger import compute_valleys, trees
+from findlarger import compute_valleys, core, trees
 from findlarger.core import BLOCK, _ladders
 from findlarger.formats import write_parens
 from findlarger.gen import random_parent_array
@@ -504,7 +504,7 @@ def test_every_pair_matches_the_oracle(parent):
         idx = LevelAncestorIndex(tree, kappa)
         got = [[idx.query(v, d) for d in range(depth[v] + 1)] for v in range(len(parent))]
         assert got == want, kappa
-        # the moved offsets lie in [-1, ladder entries + largest depth)
+        # the offsets lie in [-1, ladder entries + largest depth)
         bound = len(idx.ladder_data) + max(depth)
         for offsets in (np.asarray(idx.jump), np.asarray(idx.own)):
             assert offsets.min() >= -1 and offsets.max() < bound
@@ -515,6 +515,23 @@ def test_a_jump_offset_passes_the_end_of_the_ladders():
     # offset, though never read there, lies beyond the last entry
     idx = LevelAncestorIndex(Tree.from_parents(fork(28, 40)), 3)
     assert max(idx.jump) >= len(idx.ladder_data)
+
+
+def test_offsets_take_the_width_of_their_bound(monkeypatch):
+    # under a width rule of int8 below 2^7, this tour (85 stops) and its
+    # ladders (126 entries) fit int8, but an offset reaches 128: the width
+    # must come from the offsets' bound, entries plus the largest depth
+    tree = Tree.from_parents(fork(8, 33))
+    want = LevelAncestorIndex(tree, 3)
+    monkeypatch.setattr(core, "position_dtype", lambda largest: np.int8 if largest < 2**7 else np.int64)
+    got = LevelAncestorIndex(tree, 3)
+    assert len(want.jump) < 2**7 and len(want.ladder_data) < 2**7 <= max(want.jump)
+    for name in ("own", "jump", "ladder_data"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+    depth = want.depth.tolist()
+    for v in range(len(depth)):
+        for d in range(depth[v] + 1):
+            assert got.query(v, d) == want.query(v, d) == naive_la(tree, v, d)
 
 
 @pytest.mark.parametrize(
@@ -577,18 +594,22 @@ def test_masked_ladders_are_the_full_ones_less_the_dropped(kappa):
     starts_at[tour.first_pos] = True
     starts_at[-1] = True
     y_min = int(values.min())
-    full_starts, full_data, full_jump = _ladders(values, valley, kappa, y_min, 0)
-    starts, ladder_data, jump = _ladders(values, valley, kappa, y_min, 0, starts_at)
+    full_own, full_data, full_jump = _ladders(values, valley, kappa, y_min, 0)
+    own, ladder_data, jump = _ladders(values, valley, kappa, y_min, 0, starts_at)
 
+    # own[x] = start(x) + (y_max - values[x]) - 1, with y_max = 0
+    full_starts = np.append(full_own + values + 1, len(full_data))
     full_heights = full_starts[1:] - full_starts[:-1]
     want_starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(full_heights * starts_at, out=want_starts[1:])
+    want_own = want_starts[:n] - values - 1
     want_data = full_data[np.repeat(starts_at, full_heights)]
-    # a jump's offset moves down by the entries dropped before its base
+    # a jump is its base's own offset, so it moves down by the entries
+    # dropped before its base
     base = np.array(jump_bases(values.tolist(), valley.tolist(), kappa))
-    assert (full_jump == full_starts[base] - (values[base] - y_min) - 1).all()
-    want_jump = full_jump - (full_starts - want_starts)[base]
+    assert (full_jump == full_own[base]).all()
+    want_jump = full_jump - (full_own - want_own)[base]
     assert 0 < len(ladder_data) < len(full_data)
-    for got, want in ((starts, want_starts), (ladder_data, want_data), (jump, want_jump)):
+    for got, want in ((own, want_own), (ladder_data, want_data), (jump, want_jump)):
         assert got.dtype == np.int32
         assert got.tobytes() == want.astype(np.int32).tobytes()

@@ -235,8 +235,10 @@ class TestCli:
         assert main(["inspect", str(f), "--kappa", "5"]) == 0
         out = capsys.readouterr().out
         # the jumps land on ladders 0 5 5 5 5 5, each stored as
-        # ladder_start[base] - (values[base] - y_min) - 1
-        assert "JumpOffset: -2 2 2 2 2 2" in out
+        # own[base] = start(base) + (y_max - values[base]) - 1
+        assert "JumpOffset: 0 4 4 4 4 4" in out
+        assert "LadderStart: 0 1 3 4 4 5" in out
+        assert "LadderHeight: 1 2 1 0 1 0" in out
         assert "Valley: 0 1 1 1 4 4 5" in out
         assert "Weight: 1 3 0 0 2 0" in out
         assert "Ladder[1]: 2 3" in out
