@@ -314,8 +314,7 @@ def _ladders(
     ``own[b]`` for the base b that x jumps to.  The offsets lie in
     [-1, total + y_max - y_min) for total ladder entries, so all three
     arrays take the width :func:`position_dtype` picks for the larger of
-    that bound and n.  ``own`` is a view of the first n entries of a
-    buffer of n + 1.
+    that bound and n.
 
     ``starts_at`` is a boolean mask of the positions where queries may
     start, None for all of them.  A position outside it gets an empty
@@ -326,8 +325,8 @@ def _ladders(
 
     The heights and ladder starts are summed here; :func:`_fill` writes
     the entries and jumps, with up, the next position one level higher,
-    as a temporary of n + 1 positions; the starts then become ``own`` in
-    place.
+    as a temporary of n + 1 positions; the n + 1 starts then become the
+    n entries of ``own`` in place.
 
     Raises:
         ValueError: ``starts_at`` misses a valley.
@@ -371,9 +370,12 @@ def _ladders(
     up = np.empty(n + 1, dtype=position_dtype(n))
     up[n] = n
     _fill(data, y_min, y_max, up, (valley, kappa, starts, ladder_data, jump))
+    # the last start only ended the last ladder: cut it off in place (no
+    # view of the buffer is left, so the check for one is skipped), then
     # own[x] = start(x) + (y_max - data[x]) - 1, in place and in pieces
     # of BLOCK, so that its int64 temporaries stay below the fill's
-    own = starts[:n]
+    own = starts
+    own.resize(n, refcheck=False)
     for j in range(0, n, BLOCK):
         own[j : j + BLOCK] -= data[j : j + BLOCK] - y_max + 1
     return own, ladder_data, jump
@@ -599,8 +601,7 @@ class OneLevelFL:
         self.y_max = y_max
         self.bottom = n
         self.jump = memoryview(jump)
-        # a slice of the memoryview of own's n + 1 buffer keeps no ndarray view
-        self.own = memoryview(own.base)[:n]
+        self.own = memoryview(own)
         self.ladder_data = memoryview(ladder_data)
         self.build_stats = BuildStats(pushes, pops, len(ladder_data))
 

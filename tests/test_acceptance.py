@@ -154,11 +154,11 @@ def _interleaved_batch_medians(structures, xs, ys, batch=10_000):
 
     The structures answer one query stream batch by batch, alternating
     which goes first, so that a slow spell of the host lands on both
-    rather than on whichever ran during it.
+    rather than on whichever ran during it.  The untimed warmup answers
+    the first 1000 queries, and every structure must agree on them.
     """
-    for structure in structures:  # untimed warmup
-        for x, y in zip(xs[:1000], ys[:1000]):
-            structure.query(x, y)
+    warmup = [[s.query(x, y) for x, y in zip(xs[:1000], ys[:1000])] for s in structures]
+    assert all(a == warmup[0] for a in warmup), "structures disagree on the first 1000 queries"
     means = [[] for _ in structures]
     for b, s in enumerate(range(0, len(xs), batch)):
         bx, by = xs[s : s + batch], ys[s : s + batch]
