@@ -2,10 +2,10 @@
 
 Build time is a single wall-clock measurement; query time is measured
 over seeded nontrivial queries (y above the starting value) in batches
-of 10k by default: ``mean_query_ns`` is the mean over all queries and
+of ``BATCH``: ``mean_query_ns`` is the mean over all queries and
 ``p99_batch_mean_ns`` the p99 of the batch means, not a per-query tail.
 All structures in one run answer the identical query stream, and their
-answers on a prefix of it are cross-checked.
+answers on its first ``AGREEMENT_COUNT`` queries are cross-checked.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 CSV_HEADER = "structure_name,n,kappa,build_ns,mean_query_ns,p99_batch_mean_ns,entries,bytes,seed"
+
+BATCH = 10_000  # queries per timed batch
+AGREEMENT_COUNT = 1_000  # queries whose answers are cross-checked
 
 
 @dataclass(frozen=True)
@@ -114,13 +117,13 @@ STRUCTURES = {
 }
 
 
-def _time_queries(structure, xs, ys, batch: int) -> tuple[float, float]:
+def _time_queries(structure, xs, ys) -> tuple[float, float]:
     query = structure.query
     means = []
     total_ns = 0
-    for s in range(0, len(xs), batch):
-        bx = xs[s : s + batch]
-        by = ys[s : s + batch]
+    for s in range(0, len(xs), BATCH):
+        bx = xs[s : s + BATCH]
+        by = ys[s : s + BATCH]
         t0 = time.perf_counter_ns()
         for x, y in zip(bx, by):
             query(x, y)
@@ -138,20 +141,23 @@ def run_bench(
     kappa: int = 5,
     queries: int = 100_000,
     seed: int = 0,
-    batch: int = 10_000,
-    agreement_count: int = 1_000,
 ) -> tuple[list[BenchRecord], list[dict]]:
     """Benchmark each named structure on one shared query stream.
 
     Returns the records plus any answer disagreements on the first
-    ``agreement_count`` queries (empty list = all structures agree).
+    ``AGREEMENT_COUNT`` queries (empty list = all structures agree).
+    Raises ValueError, before anything is built, for no structure, an
+    unknown one, or fewer than one query.
     """
+    if not structures:
+        raise ValueError("no structure to benchmark")
     for name in structures:
         if name not in STRUCTURES:
             raise ValueError(f"unknown structure {name!r}; pick from {', '.join(STRUCTURES)}")
+    if queries < 1:
+        raise ValueError(f"queries must be at least 1, got {queries}")
     seq = validate_sequence(values)
     xs, ys = make_queries(seq, queries, seed)
-    k = min(agreement_count, queries)
     records = []
     reference: list[int] | None = None
     ref_name = ""
@@ -163,7 +169,7 @@ def run_bench(
         # untimed warmup, then the timed batches
         for x, y in zip(xs[:1000], ys[:1000]):
             structure.query(x, y)
-        mean_ns, p99_ns = _time_queries(structure, xs, ys, batch)
+        mean_ns, p99_ns = _time_queries(structure, xs, ys)
         records.append(
             BenchRecord(
                 structure_name=name,
@@ -177,7 +183,7 @@ def run_bench(
                 seed=seed,
             )
         )
-        answers = [structure.query(x, y) for x, y in zip(xs[:k], ys[:k])]
+        answers = [structure.query(x, y) for x, y in zip(xs[:AGREEMENT_COUNT], ys[:AGREEMENT_COUNT])]
         if reference is None:
             reference, ref_name = answers, name
         else:

@@ -179,7 +179,7 @@ def validate_sequence(values: Iterable[int]) -> np.ndarray:
     return data
 
 
-def _sweep_valleys(values: Sequence[int], n: int) -> tuple[np.ndarray, int, int]:
+def _sweep_valleys(values: Sequence[int]) -> tuple[np.ndarray, int, int]:
     """One left-to-right pass computing the valley of every point (x, values[x]).
 
     The valley of (x, y) is the rightmost among the lowest points reachable
@@ -192,6 +192,7 @@ def _sweep_valleys(values: Sequence[int], n: int) -> tuple[np.ndarray, int, int]
     valley[n] = n - 1 by convention.  Works for arbitrary integers, not
     just 1-difference sequences.
     """
+    n = len(values)
     # slot 0 is a sentinel frame that is never popped
     fx = [0] * (n + 1)
     flow = [float("-inf")] * (n + 1)
@@ -244,10 +245,9 @@ def compute_valleys(values: Sequence[int]) -> np.ndarray:
     Raises:
         EmptySequenceError: no elements.
     """
-    n = len(values)
-    if n == 0:
+    if not len(values):
         raise EmptySequenceError("cannot compute valleys of an empty sequence")
-    valley, _, _ = _sweep_valleys(values, n)
+    valley, _, _ = _sweep_valleys(values)
     return valley
 
 
@@ -271,16 +271,12 @@ class SpaceReport:
 
     ``interior_ladder_entries`` excludes the two endpoint ladders, which
     are allowed to reach full height; the remaining ladders obey
-    ``interior_ladder_entries <= (kappa - 1 + kappa_prime) * n``.
+    ``interior_ladder_entries <= interior_bound = (kappa - 1 + kappa_prime) * n``.
     ``words`` counts every stored entry: the n values, the n jumps, the
     n own-ladder offsets and the ladder entries.  The values take 8 bytes
     each; the rest take 4 or 8, see :func:`position_dtype`.
     """
 
-    n: int
-    kappa: int
-    kappa_prime: int
-    jump_entries: int
     total_ladder_entries: int
     interior_ladder_entries: int
     interior_bound: int
@@ -295,17 +291,16 @@ def _kappa_prime(kappa: int) -> int:
 
 def _ladders(
     data: np.ndarray,
-    valley: np.ndarray,
     kappa: int,
     y_min: int,
     y_max: int,
     starts_at: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The own-ladder offsets, ladder entries and jump offsets of the
-    find-larger index over ``data``, as both :class:`OneLevelFL` and
-    ``LevelAncestorIndex`` keep them.  ``valley`` is what
-    :func:`_sweep_valleys` returns for ``data``, and ``y_min`` and
-    ``y_max`` are its least and largest values.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, BuildStats]:
+    """The build both :class:`OneLevelFL` and ``LevelAncestorIndex`` run
+    over ``data``, a 1-difference int64 array of least and largest values
+    ``y_min`` and ``y_max``: the valley sweep, weights, ladders and jumps.
+    It returns the own-ladder offsets, ladder entries, jump offsets and
+    :class:`BuildStats`.
 
     Every offset is anchored at ``y_max``: the entry for a target y of
     the ladder an offset o names is ``ladder_data[o + y - y_max]``.
@@ -320,18 +315,19 @@ def _ladders(
     start, None for all of them.  A position outside it gets an empty
     ladder, and the arrays are otherwise those of the full build, each
     ladder moved down by the entries dropped before it.  A jump lands in
-    the ladder of a valley, so the mask must hold every valley,
-    ``valley[n] = n - 1`` among them.
+    the ladder of a valley, so the mask must hold every valley, the
+    closing valley n - 1 among them.
 
-    The heights and ladder starts are summed here; :func:`_fill` writes
-    the entries and jumps, with up, the next position one level higher,
-    as a temporary of n + 1 positions; the n + 1 starts then become the
-    n entries of ``own`` in place.
+    The heights and ladder starts are summed from the valleys here;
+    :func:`_fill` writes the entries and jumps, with up, the next position
+    one level higher, as a temporary of n + 1 positions; the n + 1 starts
+    then become the n entries of ``own`` in place.
 
     Raises:
         ValueError: ``starts_at`` misses a valley.
     """
     n = len(data)
+    valley, pushes, pops = _sweep_valleys(memoryview(data))
     if starts_at is not None:
         missed = ~starts_at[valley]
         if missed.any():
@@ -378,7 +374,7 @@ def _ladders(
     own.resize(n, refcheck=False)
     for j in range(0, n, BLOCK):
         own[j : j + BLOCK] -= data[j : j + BLOCK] - y_max + 1
-    return own, ladder_data, jump
+    return own, ladder_data, jump, BuildStats(pushes, pops, total)
 
 
 def _fill(
@@ -521,10 +517,10 @@ def _fill(
 class OneLevelFL:
     """Find-larger index over a 1-difference sequence.
 
-    The constructor runs the whole O(n) build: a valley sweep, per-valley
-    weights, ladders of partial find-larger answers, and a jump table that
-    sends any query too tall for its own ladder into a ladder tall enough
-    to hold it.  ``query`` then answers in O(1).
+    The constructor runs the whole O(n) build, ``_ladders``: a valley
+    sweep, per-valley weights, ladders of partial find-larger answers, and
+    a jump table that sends any query too tall for its own ladder into a
+    ladder tall enough to hold it.  ``query`` then answers in O(1).
 
     Ladders and jumps are filled by one right-to-left sweep over blocks of
     ``BLOCK`` positions.  A block sorts its positions by (value, position)
@@ -585,15 +581,12 @@ class OneLevelFL:
     def __init__(self, values: Iterable[int], kappa: int = 5):
         check_kappa(kappa)
         data = validate_sequence(values)
-        values = memoryview(data)
         n = len(data)
-
-        valley, pushes, pops = _sweep_valleys(values, n)
         y_min = int(data.min())
         y_max = int(data.max())
-        own, ladder_data, jump = _ladders(data, valley, kappa, y_min, y_max)
+        own, ladder_data, jump, self.build_stats = _ladders(data, kappa, y_min, y_max)
 
-        self._values = values
+        self._values = memoryview(data)
         self.n = n
         self.kappa = kappa
         self.kappa_prime = _kappa_prime(kappa)
@@ -603,7 +596,6 @@ class OneLevelFL:
         self.jump = memoryview(jump)
         self.own = memoryview(own)
         self.ladder_data = memoryview(ladder_data)
-        self.build_stats = BuildStats(pushes, pops, len(ladder_data))
 
     def query(self, x: int, y: int) -> int:
         """Least position i >= x with values[i] >= y, or ``bottom`` (= n).
@@ -655,10 +647,6 @@ class OneLevelFL:
         # values + jump + own + ladder data
         words = 3 * n + total
         return SpaceReport(
-            n=n,
-            kappa=self.kappa,
-            kappa_prime=self.kappa_prime,
-            jump_entries=n,
             total_ladder_entries=total,
             interior_ladder_entries=interior,
             interior_bound=(self.kappa - 1 + self.kappa_prime) * n,

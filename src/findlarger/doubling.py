@@ -21,12 +21,12 @@ __all__ = ["DoublingFL"]
 class DoublingFL:
     """Find-larger index with one table row per power-of-two rise.
 
-    ``table`` is an ndarray of ``levels`` rows of n + 1 positions, of the
-    width :func:`~findlarger.core.position_dtype` picks for n (int32 below
-    2^31); ``query`` reads it through a 2-D memoryview.
+    ``table``, which ``query`` reads, is a 2-D memoryview of ``levels``
+    rows of n + 1 positions, of the width :func:`~findlarger.core.position_dtype`
+    picks for n (int32 below 2^31); ``np.asarray(table)`` reads it as an ndarray.
     """
 
-    __slots__ = ("n", "levels", "y_min", "y_max", "bottom", "table", "_table", "_values")
+    __slots__ = ("n", "levels", "y_max", "bottom", "table", "_values")
 
     def __init__(self, values: Iterable[int]):
         data = validate_sequence(values)
@@ -51,11 +51,9 @@ class DoublingFL:
         self._values = values
         self.n = n
         self.levels = levels
-        self.y_min = y_min
         self.y_max = y_max
         self.bottom = n
-        self.table = table
-        self._table = memoryview(table)
+        self.table = memoryview(table)
 
     def query(self, x: int, y: int) -> int:
         """Least i >= x with values[i] >= y, or n.  O(log(y - values[x]))."""
@@ -65,7 +63,7 @@ class DoublingFL:
         if x < 0:
             x = 0
         values = self._values
-        table = self._table
+        table = self.table
         cur = x
         t = y - values[cur]
         if __debug__:
@@ -82,7 +80,7 @@ class DoublingFL:
 
     def entry_count(self) -> int:
         """Stored entries: the n values and levels * (n + 1) table entries."""
-        return len(self._values) + self.table.size
+        return len(self._values) + self.levels * (self.n + 1)
 
     def resident_bytes(self) -> int:
         """Bytes held by the values and the table."""

@@ -18,7 +18,6 @@ from .core import (
     NotAnIntegerError,
     ValueOutOfRangeError,
     _ladders,
-    _sweep_valleys,
     check_kappa,
     int64_array,
     position_dtype,
@@ -177,7 +176,8 @@ class Tree:
 
 
 def read_ints(text: str, error: type[ValueError]) -> list[int]:
-    """Whitespace-separated integers, raising ``error`` on a bad token.
+    """Whitespace-separated integers, raising ``error`` that names the
+    first bad token and its index, the header counted.
 
     A count header, dropped, is a first line holding a single integer equal
     to the number of tokens after it; a one-line input never has one.
@@ -185,10 +185,13 @@ def read_ints(text: str, error: type[ValueError]) -> list[int]:
     tokens = text.split()
     if not tokens:
         raise error("no tokens")
+    numbers: list[int] = []
     try:
-        numbers = list(map(int, tokens))
-    except ValueError as e:
-        raise error(f"non-integer token: {e}") from None
+        # the work of list(map(...)); a failed extend keeps the ints before the bad token
+        numbers.extend(map(int, tokens))
+    except ValueError:
+        i = len(numbers)
+        raise error(f"token {i} is not an integer: {tokens[i]!r}") from None
     if len(numbers) >= 2 and numbers[0] == len(numbers) - 1:
         # only whitespace lies between the tokens, so a newline there ends the first line
         end = text.find(tokens[0]) + len(tokens[0])
@@ -207,27 +210,28 @@ def parse_balanced_parens(text: str) -> Tree:
     """Parse a tree from nested parentheses, e.g. "((())())".
 
     Each '(' opens a node (ids assigned in preorder), each ')' closes the
-    innermost open one.  Whitespace is ignored.
+    innermost open one.  Whitespace is ignored.  An error for a character
+    names its position in ``text``, whitespace counted.
     """
     parent: list[int] = []
     stack: list[int] = []
     closed_root = False
-    for c in text:
+    for i, c in enumerate(text):
         if c.isspace():
             continue
         if c == "(":
             if closed_root:
-                raise MultipleRootsError("several top-level trees in parenthesis string")
+                raise MultipleRootsError(f"'(' at position {i} opens a second top-level tree")
             parent.append(stack[-1] if stack else -1)
             stack.append(len(parent) - 1)
         elif c == ")":
             if not stack:
-                raise UnbalancedParensError("')' with no open node")
+                raise UnbalancedParensError(f"')' at position {i} closes no open node")
             stack.pop()
             if not stack:
                 closed_root = True
         else:
-            raise MalformedTreeError(f"unexpected character {c!r}")
+            raise MalformedTreeError(f"unexpected character {c!r} at position {i}")
     if stack:
         raise UnbalancedParensError(f"{len(stack)} nodes never closed")
     if not parent:
@@ -439,9 +443,10 @@ def euler_tour(tree: Tree) -> EulerTour:
 class LevelAncestorIndex:
     """O(1) level-ancestor queries after an O(n) build.
 
-    Builds the Euler tour and the ladders and jumps of a find-smaller
-    index over its negated depth sequence.  The ancestor of v at depth d
-    is the node at the first tour stop at or after ``first_pos[v]`` with
+    Builds the Euler tour and runs :func:`~findlarger.core._ladders`, the
+    build of ``OneLevelFL``, over its negated depth sequence: a
+    find-smaller index.  The ancestor of v at depth d is the node at the
+    first tour stop at or after ``first_pos[v]`` with
     depth at most d: depths leave v's subtree only through depth(v) - 1,
     depth(v) - 2, ..., so that stop has depth exactly d.  With
     t = depth(v) - d, t = 0 answers v itself, t below kappa reads entry
@@ -464,7 +469,7 @@ class LevelAncestorIndex:
     ancestor at depth d of the ladder an offset o names is
     ``ladder_data[o - d]``: ``own[v]`` for a short climb, the aligned
     ``jump[xh]`` for a taller one.  Neither the tree, the rest of the
-    tour nor the ladder starts are kept.
+    tour, the ladder starts nor the build's counters are kept.
 
     Raises InvalidKappaError for a kappa that is not an int of at least 3
     before the tour is built, and TreeTooLargeError for a tree
@@ -482,12 +487,11 @@ class LevelAncestorIndex:
         # the tour is local, so its depths are negated in place; they are
         # 1-difference by construction
         np.negative(depths, out=depths)
-        valley, _, _ = _sweep_valleys(memoryview(depths), n)
         starts_at = np.zeros(n, dtype=bool)
         starts_at[first_pos] = True
         starts_at[-1] = True
-        own, ladder_data, jump = _ladders(depths, valley, kappa, -largest, 0, starts_at)
-        del valley, starts_at
+        own, ladder_data, jump, _ = _ladders(depths, kappa, -largest, 0, starts_at)
+        del starts_at
         own = own[first_pos]  # by node, at its first visit
         # stops to nodes, in place, in pieces: no temporary of the ladders'
         # length; assigned, as the ladders can be wider than the tour

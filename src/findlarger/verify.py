@@ -33,13 +33,16 @@ def _compare(
     """Ask ``query`` and ``oracle`` the same pairs and report where they differ.
 
     Exhaustive mode asks every pair of ``all_pairs``; random mode asks
-    ``queries`` pairs, each taken by one ``draw`` from ``Random(seed)``.
-    ``keys`` names the query kind and its two arguments in each
-    mismatch; ``header`` opens the report and holds its ``kappa``.
+    ``queries`` pairs, at least one, each taken by one ``draw`` from
+    ``Random(seed)``.  ``keys`` names the query kind and its two
+    arguments in each mismatch; ``header`` opens the report and holds its
+    ``kappa``.
     """
     if mode == "exhaustive":
         pairs = all_pairs
     elif mode == "random":
+        if queries < 1:  # a run that asks nothing would pass
+            raise ValueError(f"random mode needs at least 1 query, got {queries}")
         rng = random.Random(seed)
         pairs = (draw(rng) for _ in range(queries))
     else:

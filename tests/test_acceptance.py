@@ -188,7 +188,7 @@ def test_criterion_5_constant_time_queries():
     # three-way exact agreement on 10^3 sampled queries at the large size
     _, mismatches = run_bench(
         seq, ("onelevel", "doubling", "naive"), kappa=5,
-        queries=1_000, seed=55, agreement_count=1_000,
+        queries=1_000, seed=55,
     )
     assert mismatches == [], f"structures disagree: {mismatches[:3]}"
     _report(

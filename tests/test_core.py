@@ -396,8 +396,6 @@ class TestFindSmaller:
 class TestSpaceAndStats:
     def test_example_report(self):
         r = OneLevelFL(EXAMPLE, 5).space_report()
-        assert r.n == 6 and r.kappa == 5 and r.kappa_prime == 4
-        assert r.jump_entries == 6
         assert r.total_ladder_entries == 5
         assert r.interior_ladder_entries == 4
         assert r.interior_bound == 48

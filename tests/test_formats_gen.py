@@ -44,6 +44,16 @@ class TestSequenceFormat:
         with pytest.raises(SequenceParseError):
             read_sequence("1 2 x")
 
+    def test_error_names_the_first_bad_token_and_its_index(self):
+        # the index counts the header among the tokens
+        for text, index, token in (
+            ("1 2 x", 2, "'x'"),
+            ("4\n0 1 1.5 y", 3, "'1.5'"),
+            ("0x10 0", 0, "'0x10'"),
+        ):
+            with pytest.raises(SequenceParseError, match=f"^token {index} is not an integer: {token}$"):
+                read_sequence(text)
+
 
 class TestTreeFormat:
     def test_read_tree_dispatch(self):

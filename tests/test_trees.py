@@ -133,6 +133,9 @@ class TestParentArrayParsing:
         for text in ("", "a b", "3\n-1 0 x", "-1 7", "-1 -2"):
             with pytest.raises(MalformedTreeError):
                 parse_parent_array(text)
+        # a bad token is named with its index, the header's counted
+        with pytest.raises(MalformedTreeError, match=r"^token 3 is not an integer: 'x'$"):
+            parse_parent_array("3\n-1 0 x")
         for parent in ([-1, 7], [-1, -2]):
             with pytest.raises(MalformedTreeError):
                 Tree.from_parents(parent)
@@ -210,6 +213,18 @@ class TestParensParsing:
     def test_unbalanced(self):
         for text in ("(()", "())", ")("):
             with pytest.raises(UnbalancedParensError):
+                parse_balanced_parens(text)
+
+    def test_errors_name_the_character_position(self):
+        # positions count every character of the text, whitespace too
+        for text, error, position in (
+            ("())", UnbalancedParensError, 2),
+            ("( )\n )", UnbalancedParensError, 5),
+            ("(())  (", MultipleRootsError, 6),
+            ("(()) x", MalformedTreeError, 5),
+            ("(a)", MalformedTreeError, 1),
+        ):
+            with pytest.raises(error, match=rf"\bat position {position}\b"):
                 parse_balanced_parens(text)
 
     def test_forest_rejected(self):
@@ -558,12 +573,12 @@ def test_a_start_mask_missing_a_valley_is_refused():
     valley = compute_valleys(values.tolist())
     starts_at = np.zeros(len(values), dtype=bool)
     starts_at[valley] = True
-    _ladders(values, valley, 5, int(values.min()), 0, starts_at)
+    _ladders(values, 5, int(values.min()), 0, starts_at)
     for missing in sorted(set(valley.tolist())):
         holed = starts_at.copy()
         holed[missing] = False
         with pytest.raises(ValueError, match=f"valley {missing} of position"):
-            _ladders(values, valley, 5, int(values.min()), 0, holed)
+            _ladders(values, 5, int(values.min()), 0, holed)
 
 
 def jump_bases(values, valley, kappa):
@@ -594,8 +609,8 @@ def test_masked_ladders_are_the_full_ones_less_the_dropped(kappa):
     starts_at[tour.first_pos] = True
     starts_at[-1] = True
     y_min = int(values.min())
-    full_own, full_data, full_jump = _ladders(values, valley, kappa, y_min, 0)
-    own, ladder_data, jump = _ladders(values, valley, kappa, y_min, 0, starts_at)
+    full_own, full_data, full_jump, _ = _ladders(values, kappa, y_min, 0)
+    own, ladder_data, jump, _ = _ladders(values, kappa, y_min, 0, starts_at)
 
     # own[x] = start(x) + (y_max - values[x]) - 1, with y_max = 0
     full_starts = np.append(full_own + values + 1, len(full_data))

@@ -56,9 +56,8 @@ def test_random_arbitrary_integers(values):
 @settings(max_examples=200, deadline=None)
 @given(one_diff_lists(max_n=60))
 def test_sweep_work_is_linear(values):
-    n = len(values)
-    _, pushes, pops = _sweep_valleys(values, n)
-    assert 0 <= pops <= pushes <= n
+    _, pushes, pops = _sweep_valleys(values)
+    assert 0 <= pops <= pushes <= len(values)
 
 
 def test_valley_is_left_of_and_no_higher_than_its_point():

@@ -53,6 +53,12 @@ class TestCheckSequence:
         with pytest.raises(ValueError):
             check_sequence(WALK, mode="fuzz")
 
+    @pytest.mark.parametrize("queries", [0, -3])
+    def test_random_mode_needs_a_query(self, queries):
+        # a run that asks nothing must not report a pass
+        with pytest.raises(ValueError, match="at least 1 query"):
+            check_sequence(WALK, mode="random", queries=queries)
+
     def test_seed_replays_the_same_random_queries(self):
         s = OneLevelFL(WALK, 5)
         for i in range(len(s.ladder_data)):
@@ -111,6 +117,11 @@ class TestCheckTree:
         with pytest.raises(ValueError):
             check_tree(self.TREE, mode="fuzz")
 
+    @pytest.mark.parametrize("queries", [0, -3])
+    def test_random_mode_needs_a_query(self, queries):
+        with pytest.raises(ValueError, match="at least 1 query"):
+            check_tree(self.TREE, mode="random", queries=queries)
+
     def test_seed_replays_the_same_random_queries(self):
         tree, idx = self.broken_index()
         report = check_tree(tree, mode="random", queries=500, seed=3, index=idx)
@@ -149,7 +160,7 @@ class TestBench:
 
     def test_run_bench_records_and_agreement(self):
         records, mismatches = run_bench(
-            WALK, ("onelevel", "doubling", "naive"), kappa=5, queries=600, seed=1, batch=200
+            WALK, ("onelevel", "doubling", "naive"), kappa=5, queries=600, seed=1
         )
         assert mismatches == []
         assert [r.structure_name for r in records] == ["onelevel", "doubling", "naive"]
@@ -161,6 +172,19 @@ class TestBench:
     def test_run_bench_rejects_unknown_structure(self):
         with pytest.raises(ValueError):
             run_bench(WALK, ("quantum",), queries=10)
+
+    @pytest.mark.parametrize(
+        "structures, queries", [(("onelevel",), 0), (("onelevel",), -3), ((), 10)]
+    )
+    def test_run_bench_refuses_before_building(self, monkeypatch, structures, queries):
+        import findlarger.bench as bench_mod
+
+        def build(seq, kappa):
+            raise AssertionError("built before the arguments were checked")
+
+        monkeypatch.setitem(bench_mod.STRUCTURES, "onelevel", build)
+        with pytest.raises(ValueError):
+            run_bench(WALK, structures, queries=queries)
 
 
 class TestCli:
@@ -261,6 +285,22 @@ class TestCli:
 
     def test_exit_2_on_unknown_structure(self, tmp_path):
         assert main(["bench", "--n", "64", "--queries", "10", "--structures", "warp"]) == 2
+
+    def test_exit_2_on_no_structure(self, capsys):
+        # exit 1 is kept for answers that disagree; nothing benchmarked is a usage error
+        assert main(["bench", "--n", "100", "--queries", "10", "--structures", ""]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("queries", ["0", "-3"])
+    def test_exit_2_on_too_few_bench_queries(self, capsys, queries):
+        assert main(["bench", "--n", "100", "--queries", queries]) == 2
+        assert "at least 1" in capsys.readouterr().err
+
+    def test_exit_2_on_random_verify_without_queries(self, tmp_path, capsys):
+        f = tmp_path / "w.txt"
+        main(["gen", "--n", "50", "--seed", "1", "--out", str(f)])
+        assert main(["verify", str(f), "--mode", "random", "--queries", "0"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_exit_2_on_bad_kappa(self, tmp_path):
         f = tmp_path / "w.txt"
