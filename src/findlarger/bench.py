@@ -135,6 +135,18 @@ def _time_queries(structure, xs, ys) -> tuple[float, float]:
     return total_ns / len(xs), p99
 
 
+def _check_request(structures: Sequence[str], queries: int) -> None:
+    """Raise ValueError for no structure, an unknown one, or fewer than
+    one query."""
+    if not structures:
+        raise ValueError("no structure to benchmark")
+    for name in structures:
+        if name not in STRUCTURES:
+            raise ValueError(f"unknown structure {name!r}; pick from {', '.join(STRUCTURES)}")
+    if queries < 1:
+        raise ValueError(f"queries must be at least 1, got {queries}")
+
+
 def run_bench(
     values: Iterable[int],
     structures: Sequence[str] = ("onelevel", "doubling"),
@@ -147,15 +159,9 @@ def run_bench(
     Returns the records plus any answer disagreements on the first
     ``AGREEMENT_COUNT`` queries (empty list = all structures agree).
     Raises ValueError, before anything is built, for no structure, an
-    unknown one, or fewer than one query.
+    unknown one, or fewer than one query (:func:`_check_request`).
     """
-    if not structures:
-        raise ValueError("no structure to benchmark")
-    for name in structures:
-        if name not in STRUCTURES:
-            raise ValueError(f"unknown structure {name!r}; pick from {', '.join(STRUCTURES)}")
-    if queries < 1:
-        raise ValueError(f"queries must be at least 1, got {queries}")
+    _check_request(structures, queries)
     seq = validate_sequence(values)
     xs, ys = make_queries(seq, queries, seed)
     records = []

@@ -13,12 +13,12 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .bench import CSV_HEADER, run_bench
+from .bench import CSV_HEADER, _check_request, run_bench
 from .core import OneLevelFL, compute_valleys, validate_sequence
 from .formats import FORMATS, read_sequence, read_tree, write_parens, write_parent_array, write_sequence
 from .gen import random_parent_array, random_walk_values
 from .trees import Tree
-from .verify import check_sequence, check_tree
+from .verify import _check_mode, check_sequence, check_tree
 
 INSPECT_LIMIT = 10_000
 
@@ -50,6 +50,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_mode(args.mode, args.queries)  # before the input is read
     text = _read_text(args.input)
     if args.format == "seq":
         report = check_sequence(
@@ -69,6 +70,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     structures = [s.strip() for s in args.structures.split(",") if s.strip()]
+    _check_request(structures, args.queries)  # before the input is read or generated
     if args.input is not None:
         values = read_sequence(_read_text(args.input))
     else:

@@ -21,6 +21,7 @@ anchored at the largest value y_max, holds the entry for a target y at
 
 from __future__ import annotations
 
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -61,13 +62,15 @@ CHAIN = 8
 
 # closes every block's sorted keys: above every key and every needle
 _KEY_END = 2**63 - 1
+# a key's level is key >> _BITS (see _fill)
+_BITS = BLOCK.bit_length() - 1
 # x - a, lowbit(x - a) and its lowbit class, log2 lowbit(x - a), for the
 # positions x of a block [a, b); x = a takes the last class, as its climb
 # is set apart
 _LOCAL = np.arange(BLOCK, dtype=np.int64)
 _LOWBIT = _LOCAL & -_LOCAL
-_CLASS = np.full(BLOCK, BLOCK.bit_length() - 1, dtype=np.uint8)
-for _c in range(BLOCK.bit_length() - 1):
+_CLASS = np.full(BLOCK, _BITS, dtype=np.uint8)
+for _c in range(_BITS):
     _CLASS[1 << _c :: 2 << _c] = _c
 del _c
 # the entry index of a chained ladder entry
@@ -302,14 +305,18 @@ def _ladders(
     It returns the own-ladder offsets, ladder entries, jump offsets and
     :class:`BuildStats`.
 
-    Every offset is anchored at ``y_max``: the entry for a target y of
-    the ladder an offset o names is ``ladder_data[o + y - y_max]``.
-    ``own[x]`` names x's own ladder, ``start(x) + (y_max - data[x]) - 1``
-    for the ladder's first entry start(x), and ``jump[x]`` is
-    ``own[b]`` for the base b that x jumps to.  The offsets lie in
-    [-1, total + y_max - y_min) for total ladder entries, so all three
-    arrays take the width :func:`position_dtype` picks for the larger of
-    that bound and n.
+    The build has two layers.  :func:`_fill` works in positions: it
+    writes every ladder entry and, for every x, the position where x's
+    jump lands.  This function alone works in offsets, anchored at
+    ``y_max``: the entry for a target y of the ladder an offset o names
+    is ``ladder_data[o + y - y_max]``.  ``own[x]`` names x's own ladder,
+    ``start(x) + (y_max - data[x]) - 1`` for the ladder's first entry
+    start(x), and a jump that lands on p becomes ``own[valley[p]]``, the
+    ladder of the landing's valley, which is tall enough for every
+    target the jump serves (``valley[n] = n - 1`` for a landing on n).
+    The offsets lie in [-1, total + y_max - y_min) for total ladder
+    entries, so all three arrays take the width :func:`position_dtype`
+    picks for the larger of that bound and n.
 
     ``starts_at`` is a boolean mask of the positions where queries may
     start, None for all of them.  A position outside it gets an empty
@@ -318,10 +325,11 @@ def _ladders(
     the ladder of a valley, so the mask must hold every valley, the
     closing valley n - 1 among them.
 
-    The heights and ladder starts are summed from the valleys here;
-    :func:`_fill` writes the entries and jumps, with up, the next position
-    one level higher, as a temporary of n + 1 positions; the n + 1 starts
-    then become the n entries of ``own`` in place.
+    The heights and ladder starts are summed from the valleys here, with
+    up, the next position one level higher, as a temporary of n + 1
+    positions for the fill; the n + 1 starts then become the n entries
+    of ``own`` in place, and only then the landings become offsets: a
+    landing's valley can lie left of the piece that jumps to it.
 
     Raises:
         ValueError: ``starts_at`` misses a valley.
@@ -365,16 +373,36 @@ def _ladders(
     jump = np.empty(n, dtype=width)  # every entry is written below
     up = np.empty(n + 1, dtype=position_dtype(n))
     up[n] = n
-    _fill(data, y_min, y_max, up, (valley, kappa, starts, ladder_data, jump))
+    _fill(data, y_min, y_max, up, (kappa, starts, ladder_data, jump))
     # the last start only ended the last ladder: cut it off in place (no
     # view of the buffer is left, so the check for one is skipped), then
-    # own[x] = start(x) + (y_max - data[x]) - 1, in place and in pieces
-    # of BLOCK, so that its int64 temporaries stay below the fill's
+    # own[x] = start(x) + (y_max - data[x]) - 1 and jump[x] = own[valley[p]]
+    # for its landing p, in place and in pieces of BLOCK, so that their
+    # temporaries stay below the fill's
     own = starts
     own.resize(n, refcheck=False)
     for j in range(0, n, BLOCK):
         own[j : j + BLOCK] -= data[j : j + BLOCK] - y_max + 1
+    for j in range(0, n, BLOCK):
+        jump[j : j + BLOCK] = own[valley[jump[j : j + BLOCK]]]
     return own, ladder_data, jump, BuildStats(pushes, pops, total)
+
+
+def _first_at(sorted_keys: np.ndarray, needles: np.ndarray, a: int, next_at: np.ndarray) -> np.ndarray:
+    """The first position at each needle's level, at or after the position
+    the needle names, for the block that starts at ``a``.
+
+    ``sorted_keys`` are the block's keys, sorted and closed by a key above
+    every needle (see :func:`_fill`).  The answer is the first key at or
+    above the needle if that key is at the needle's level, else
+    ``next_at`` of that level, the first position there after the block.
+    """
+    hit = sorted_keys[sorted_keys.searchsorted(needles)]
+    hit_level = hit >> _BITS
+    hit &= BLOCK - 1
+    hit += a
+    level = needles >> _BITS
+    return np.where(hit_level == level, hit, next_at[level])
 
 
 def _fill(
@@ -382,43 +410,51 @@ def _fill(
     y_min: int,
     y_max: int,
     up: np.ndarray,
-    ladders: tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ladders: tuple[int, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> None:
-    """The right-to-left block sweep behind the indexes over ``data``.
+    """The right-to-left block sweep behind the indexes over ``data``.  It
+    works in positions only.
 
     It writes ``up[x]``, the first position after x one level above
     ``data[x]``, or n for none, for every x < n; ``up[n]`` must hold n.
-    With ``ladders``, the tuple (valley, kappa, starts, ladder_data, jump)
-    of :func:`_ladders`, it also writes every ladder entry and jump.
+    With ``ladders``, the tuple (kappa, starts, ladder_data, jump) of
+    :func:`_ladders`, it also writes every ladder entry, entry r of x's
+    ladder at ``starts[x] + r`` being the first position after x at
+    level data[x] + r + 1, and in ``jump[x]`` the first position after
+    x at level data[x] + (kappa - 2) * lowbit(x), where x's jump lands
+    (x itself for x = 0, and n past y_max).  :func:`_ladders` turns the
+    landings into offsets.
 
     Position x is at level data[x] - y_min and has the key
     level * w + x - a in its block [a, b), with w = BLOCK > x - a, so a
-    key's level is key >> bits and x - a is key & (w - 1); a block's
+    key's level is key >> _BITS and x - a is key & (w - 1); a block's
     sorted keys run level by level, by position within a level.  The
     first position after x at level v is the first key at or above the
     needle v * w + x - a if that key is at level v, else next_at[v], the
-    first position >= b at level v, carried from the blocks to the right.
-    One slot beyond y_max keeps y_max + 1 addressable (always n).
+    first position >= b at level v, carried from the blocks to the right
+    (:func:`_first_at`).  One slot beyond y_max keeps y_max + 1
+    addressable (always n).
 
-    A block searches its keys once, for needles in groups that each
-    ascend, so that each search starts near where the last one ended:
-    its keys one level up, which give up; its jumps by lowbit class, as
-    the jumps of one class climb alike; and the first key of each of its
-    levels, the carry.  On a 1-difference sequence entry r + 1 of a
-    ladder is up of entry r, so the first ``rows`` entries of each ladder
+    A block searches its keys in ascending groups of needles, so that
+    each search starts near where the last one ended.  One search holds
+    the block's own needles: its keys one level up, which give up; its
+    jumps by lowbit class, as the jumps of one class climb alike; and
+    the first key of each of its levels, the carry.  On a 1-difference
+    sequence entry r + 1 of a ladder is up of entry r, so the first
+    ``rows`` entries of each ladder, at most kappa - 1 and ``CHAIN``,
     are chained through up; only the tall entries past them are
-    searched, in pieces of at most CHUNK, the last of which also holds
-    the block's other needles.
+    searched, in pieces of at most ``CHUNK``, one search a piece.  The
+    carry is updated after both searches.  Temporaries stay at the size
+    of one block or piece, and the block's keys stay in cache.
     """
     n = len(data)
     size = y_max - y_min + 2
     next_at = np.full(size, n, dtype=np.int64)
     w = BLOCK
-    bits = BLOCK.bit_length() - 1
     top = (size - 1) * w  # a needle at level y_max + 1, which no key reaches
-    jumps = tall_count = 0
+    jumps = 0
     if ladders is not None:
-        valley, kappa, starts, ladder_data, jump = ladders
+        kappa, starts, ladder_data, jump = ladders
         # a jump climbs (kappa - 2) * lowbit(x) levels, at most to y_max + 1,
         # so kappa - 2 is cut to the level range first to stay in int64
         step = min(kappa - 2, size - 1)
@@ -437,30 +473,40 @@ def _fill(
         block_keys += _LOCAL[:m]
         keys[m] = _KEY_END  # every needle then finds a key
         sorted_keys = np.sort(keys)
-        lo = int(sorted_keys[0]) >> bits
-        hi = int(sorted_keys[m - 1]) >> bits  # a 1-difference block holds every level in [lo, hi]
+        lo = int(sorted_keys[0]) >> _BITS
+        hi = int(sorted_keys[m - 1]) >> _BITS  # a 1-difference block holds every level in [lo, hi]
         local = sorted_keys[:m] & (w - 1)  # x - a, in key order
         if ladders is not None:
             jumps = m
+            jump_needles = block_keys + jump_keys[:m]
+            np.minimum(jump_needles, top, out=jump_needles)
+            # x = a climbs by lowbit(a), in Python integers: jump_keys[0] is 0
+            jump_needles[0] = min(int(block_keys[0]) + step * (a & -a) * w, top)
+            # by lowbit class, and in key order inside a class: the sort is
+            # stable, and x = a, in a class of its own, comes last
+            by_class = local[_CLASS[local].argsort(kind="stable")]
+        needles = np.empty(m + jumps + hi - lo + 1, dtype=np.int64)
+        np.add(sorted_keys[:m], w, out=needles[:m])
+        if jumps:
+            jump_needles.take(by_class, out=needles[m : 2 * m])
+        needles[m + jumps :] = np.arange(lo * w, (hi + 1) * w, w)
+        answers = _first_at(sorted_keys, needles, a, next_at)
+        up[a:b][local] = answers[:m]
+        if ladders is not None:
+            jump[a:b][by_class] = answers[m : 2 * m]
             # in int64: the needle of a tall entry r adds (r + 1) * w to a
             # key, by way of w times the entry's rank in the block, and
             # either passes 2^31 from 2^19 on
             st = starts[a : b + 1].astype(np.int64)
             heights = st[1:] - st[:-1]
             chained = row < heights  # [r, x]: entry r of ladder x is chained
-            tall_count = int(st[m] - st[0]) - int(np.count_nonzero(chained))
-            if tall_count:
-                # the tall entries are ranked through the block: ladder x
-                # holds ranks tall[x] to tall[x + 1], and rank q is its
-                # entry q - tall[x] + rows
-                tall = st - st[0]
-                tall[1:] -= np.cumsum(np.minimum(heights, rows))
-        for q0 in range(0, max(tall_count, 1), CHUNK):
-            q1 = min(q0 + CHUNK, tall_count)
-            t = q1 - q0
-            last = q1 == tall_count
-            needles = np.empty(t + m + jumps + hi - lo + 1 if last else t, dtype=np.int64)
-            if t:
+            # the tall entries are ranked through the block: ladder x holds
+            # ranks tall[x] to tall[x + 1], and rank q is its entry
+            # q - tall[x] + rows
+            tall = st - st[0]
+            tall[1:] -= np.cumsum(np.minimum(heights, rows))
+            for q0 in range(0, int(tall[m]), CHUNK):
+                q1 = min(q0 + CHUNK, int(tall[m]))
                 # entry r of ladder x sits at st[x] + r and answers level
                 # + r + 1, so its needle is key_x + (r + 1) * w
                 cut = np.minimum(np.maximum(tall, q0), q1)
@@ -471,47 +517,16 @@ def _fill(
                 r0 += 1
                 r0 *= w
                 r0 += block_keys
-                np.add(np.repeat(r0, counts), np.arange(q0 * w, q1 * w, w), out=needles[:t])
-            if last:
-                np.add(sorted_keys[:m], w, out=needles[t : t + m])
-                if jumps:
-                    jump_needles = block_keys + jump_keys[:m]
-                    np.minimum(jump_needles, top, out=jump_needles)
-                    # x = a climbs by lowbit(a), in Python integers: jump_keys[0] is 0
-                    jump_needles[0] = min(int(block_keys[0]) + step * (a & -a) * w, top)
-                    # by lowbit class, and in key order inside a class: the
-                    # sort is stable, and x = a, in a class of its own, comes last
-                    by_class = local[_CLASS[local].argsort(kind="stable")]
-                    jump_needles.take(by_class, out=needles[t + m : t + 2 * m])
-                needles[t + m + jumps :] = np.arange(lo * w, (hi + 1) * w, w)
-
-            hit = sorted_keys[sorted_keys.searchsorted(needles)]
-            hit_level = hit >> bits
-            hit &= w - 1
-            hit += a
-            level = needles >> bits
-            answers = np.where(hit_level == level, hit, next_at[level])
-            if t:
-                ladder_data[dst] = answers[:t]
-        up[a:b][local] = answers[t : t + m]
-        next_at[lo : hi + 1] = answers[t + m + jumps :]
-        if ladders is None:
-            continue
-        # each jump as its base's own offset, start(b) + (y_max - data[b])
-        # - 1, so that the base's entry for a target y sits at
-        # jump[x] + y - y_max
-        bases = valley[answers[t + m : t + 2 * m]]
-        levels = data[bases]
-        levels -= y_max
-        levels += 1
-        jump[a:b][by_class] = starts[bases] - levels
-        del bases, levels  # not kept alive beside the chain's temporaries
-        # row r holds entry r of every ladder of the block: up[x] for r = 0
-        chain = np.empty((rows, m), dtype=up.dtype)
-        chain[0] = up[a:b]
-        for r in range(1, rows):
-            up.take(chain[r - 1], out=chain[r], mode="clip")
-        ladder_data[(st[:m] + row)[chained]] = chain[chained]
+                tall_needles = np.repeat(r0, counts)
+                tall_needles += np.arange(q0 * w, q1 * w, w)
+                ladder_data[dst] = _first_at(sorted_keys, tall_needles, a, next_at)
+            # row r holds entry r of every ladder of the block: up[x] for r = 0
+            chain = np.empty((rows, m), dtype=up.dtype)
+            chain[0] = up[a:b]
+            for r in range(1, rows):
+                up.take(chain[r - 1], out=chain[r], mode="clip")
+            ladder_data[(st[:m] + row)[chained]] = chain[chained]
+        next_at[lo : hi + 1] = answers[m + jumps :]
 
 
 class OneLevelFL:
@@ -521,21 +536,8 @@ class OneLevelFL:
     sweep, per-valley weights, ladders of partial find-larger answers, and
     a jump table that sends any query too tall for its own ladder into a
     ladder tall enough to hold it.  ``query`` then answers in O(1).
-
-    Ladders and jumps are filled by one right-to-left sweep over blocks of
-    ``BLOCK`` positions.  A block sorts its positions by (value, position)
-    and answers every "first position after x holding value v" it needs
-    with one binary search over those keys; what the block cannot answer
-    comes from the first position after it at that value, carried from
-    the blocks to its right.  The needles run in ascending groups: every
-    position one value up, which gives up[x], the next position one value
-    higher than x; the jumps, by the power of two they climb by; and the
-    carry to the next block.  As the sequence passes every value between
-    two of its values, entry j + 1 of a ladder is up of entry j, so the
-    first kappa - 1 entries of each ladder (at most ``CHAIN``) are chained
-    through up, and only the taller entries are searched, in pieces of at
-    most ``CHUNK``.  Temporaries stay at the size of one block, and the
-    block's keys stay in cache.
+    ``_ladders`` and ``_fill`` describe how the ladders and jumps are
+    filled.
 
     All ladders share one array, ``ladder_data``, and are named by
     offsets anchored at ``y_max``: the ladder an offset o names holds its
@@ -600,8 +602,8 @@ class OneLevelFL:
     def query(self, x: int, y: int) -> int:
         """Least position i >= x with values[i] >= y, or ``bottom`` (= n).
 
-        Total over all integer arguments: x may lie outside [0, n) and y
-        outside the value range.  O(1).
+        Total over all integer arguments, numpy integers among them: x
+        may lie outside [0, n) and y outside the value range.  O(1).
         """
         n = self.n
         if x >= n or y > self.y_max:
@@ -622,7 +624,10 @@ class OneLevelFL:
             # most t // kappa, avoiding positions whose power-of-two weight
             # exceeds p
             p = t // self.kappa
-            p = 1 << (p.bit_length() - 1)
+            try:
+                p = 1 << (p.bit_length() - 1)
+            except AttributeError:  # a numpy integer has no bit_length
+                return self.query(operator.index(x), operator.index(y))
             xh = x & -p
             if xh and not xh & p:
                 xh -= p

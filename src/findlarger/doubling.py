@@ -9,6 +9,7 @@ property lands exactly 2^k higher, never overshooting.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -68,14 +69,17 @@ class DoublingFL:
         t = y - values[cur]
         if __debug__:
             hops = 0
-        while t > 0:
-            cur = table[t.bit_length() - 1, cur]
-            if cur == n:
-                return n
-            t = y - values[cur]
-            if __debug__:
-                hops += 1
-                assert hops <= self.levels, "query exceeded its hop budget"
+        try:
+            while t > 0:
+                cur = table[t.bit_length() - 1, cur]
+                if cur == n:
+                    return n
+                t = y - values[cur]
+                if __debug__:
+                    hops += 1
+                    assert hops <= self.levels, "query exceeded its hop budget"
+        except AttributeError:  # a numpy integer has no bit_length
+            return self.query(operator.index(x), operator.index(y))
         return cur
 
     def entry_count(self) -> int:

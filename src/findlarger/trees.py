@@ -8,6 +8,8 @@ after v's first visit whose depth is d.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass, fields
 from typing import Iterable
 
@@ -43,6 +45,11 @@ __all__ = [
     "euler_tour",
     "LevelAncestorIndex",
 ]
+
+# the decimal integers int() reads, with or without a sign and underscores
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
+# a bad token is quoted up to this many characters in its error
+_QUOTE_LIMIT = 40
 
 
 class TreeFormatError(ValueError):
@@ -181,6 +188,9 @@ def read_ints(text: str, error: type[ValueError]) -> list[int]:
 
     A count header, dropped, is a first line holding a single integer equal
     to the number of tokens after it; a one-line input never has one.
+    An integer token too long for int() (``sys.get_int_max_str_digits()``
+    digits) is refused as outside the signed 64-bit range, and a quoted
+    token is cut to ``_QUOTE_LIMIT`` characters.
     """
     tokens = text.split()
     if not tokens:
@@ -191,7 +201,14 @@ def read_ints(text: str, error: type[ValueError]) -> list[int]:
         numbers.extend(map(int, tokens))
     except ValueError:
         i = len(numbers)
-        raise error(f"token {i} is not an integer: {tokens[i]!r}") from None
+        token = tokens[i]
+        # int() refuses a well-formed integer only past its digit limit
+        what = "lies outside the signed 64-bit range" if _INTEGER.fullmatch(token) else "is not an integer"
+        if len(token) > _QUOTE_LIMIT:
+            shown = f"{token[:_QUOTE_LIMIT]!r}... ({len(token)} characters)"
+        else:
+            shown = repr(token)
+        raise error(f"token {i} {what}: {shown}") from None
     if len(numbers) >= 2 and numbers[0] == len(numbers) - 1:
         # only whitespace lies between the tokens, so a newline there ends the first line
         end = text.find(tokens[0]) + len(tokens[0])
@@ -527,7 +544,10 @@ class LevelAncestorIndex:
             # the aligned jump of OneLevelFL.query
             x = self.first_pos[v]
             p = t // self.kappa
-            p = 1 << (p.bit_length() - 1)
+            try:
+                p = 1 << (p.bit_length() - 1)
+            except AttributeError:  # a numpy integer has no bit_length
+                return self.query(operator.index(v), operator.index(d))
             xh = x & -p
             if xh and not xh & p:
                 xh -= p

@@ -19,6 +19,16 @@ __all__ = ["MISMATCH_LIMIT", "check_sequence", "check_tree"]
 MISMATCH_LIMIT = 10
 
 
+def _check_mode(mode: str, queries: int) -> None:
+    """Raise ValueError for a mode other than exhaustive and random, or
+    for random mode with fewer than one query: a run that asks nothing
+    would pass."""
+    if mode not in ("exhaustive", "random"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "random" and queries < 1:
+        raise ValueError(f"random mode needs at least 1 query, got {queries}")
+
+
 def _compare(
     header: dict,
     keys: tuple[str, str, str],
@@ -33,20 +43,16 @@ def _compare(
     """Ask ``query`` and ``oracle`` the same pairs and report where they differ.
 
     Exhaustive mode asks every pair of ``all_pairs``; random mode asks
-    ``queries`` pairs, at least one, each taken by one ``draw`` from
-    ``Random(seed)``.  ``keys`` names the query kind and its two
-    arguments in each mismatch; ``header`` opens the report and holds its
-    ``kappa``.
+    ``queries`` pairs, each taken by one ``draw`` from ``Random(seed)``.
+    The caller has checked both with :func:`_check_mode`.  ``keys``
+    names the query kind and its two arguments in each mismatch;
+    ``header`` opens the report and holds its ``kappa``.
     """
     if mode == "exhaustive":
         pairs = all_pairs
-    elif mode == "random":
-        if queries < 1:  # a run that asks nothing would pass
-            raise ValueError(f"random mode needs at least 1 query, got {queries}")
+    else:
         rng = random.Random(seed)
         pairs = (draw(rng) for _ in range(queries))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     kind, a_key, b_key = keys
     mismatches: list[dict] = []
     total = bad = 0
@@ -83,8 +89,9 @@ def check_sequence(
     Exhaustive mode sweeps x in [-1, n] and y in [min-1, max+1]; random
     mode samples ``queries`` points of the same grid.  A prebuilt (or
     deliberately corrupted) ``structure`` may be passed in place of the
-    internal build.
+    internal build.  A bad mode or query count is refused first.
     """
+    _check_mode(mode, queries)
     seq = validate_sequence(values)
     if structure is None:
         structure = OneLevelFL(seq, kappa)
@@ -116,8 +123,10 @@ def check_tree(
     """Compare level-ancestor queries against the parent-walking oracle.
 
     Exhaustive mode asks every (v, d) with 0 <= d <= depth(v); random
-    mode draws a node, then a depth on its path to the root.
+    mode draws a node, then a depth on its path to the root.  A bad mode
+    or query count is refused before the index is built.
     """
+    _check_mode(mode, queries)
     if index is None:
         index = LevelAncestorIndex(tree, kappa)
     depth = index.depth

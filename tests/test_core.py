@@ -343,6 +343,14 @@ class TestQuery:
         assert s.query(0, -10**17) == 0  # y at or below values[x] answers x
         assert s.query(3, 2) == 3
 
+    @pytest.mark.parametrize("integer", [np.int64, np.int32])
+    def test_numpy_integer_arguments(self, integer):
+        # the jump branch takes numpy integers as the ints they hold
+        s = OneLevelFL(range(100))
+        for x, y in ((0, 50), (0, 2), (37, 99), (99, 50), (5, 120)):
+            want = naive_fl(range(100), x, y)
+            assert s.query(x, integer(y)) == s.query(integer(x), integer(y)) == s.query(integer(x), y) == want
+
     def test_staircase_jump_path(self):
         # ascending staircase forces the aligned-position branch
         s = OneLevelFL(list(range(16)), 5)

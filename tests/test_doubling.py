@@ -24,6 +24,14 @@ def test_frozen_staircase_table():
     assert d.query(0, 4) == 4
 
 
+@pytest.mark.parametrize("integer", [np.int64, np.int32])
+def test_numpy_integer_arguments(integer):
+    d = DoublingFL(range(100))
+    for x, y in ((0, 50), (0, 2), (37, 99), (99, 50), (5, 120)):
+        want = naive_fl(range(100), x, y)
+        assert d.query(x, integer(y)) == d.query(integer(x), integer(y)) == d.query(integer(x), y) == want
+
+
 def test_constant_sequence_has_one_level():
     d = DoublingFL([2, 2, 2])
     assert d.levels == 1

@@ -54,6 +54,23 @@ class TestSequenceFormat:
             with pytest.raises(SequenceParseError, match=f"^token {index} is not an integer: {token}$"):
                 read_sequence(text)
 
+    def test_an_integer_too_long_for_int_is_out_of_range(self):
+        # int() refuses more than sys.get_int_max_str_digits() digits; the
+        # error names the token and quotes no more than its first 40 characters
+        for text, index, token in (
+            ("1 " + "9" * 5000, 1, "9" * 5000),
+            ("3\n0 1 +" + "1_2" * 3000, 3, "+" + "1_2" * 3000),
+        ):
+            with pytest.raises(SequenceParseError) as e:
+                read_sequence(text)
+            shown = f"{token[:40]!r}... ({len(token)} characters)"
+            assert str(e.value) == f"token {index} lies outside the signed 64-bit range: {shown}"
+
+    def test_a_long_bad_token_is_quoted_in_part(self):
+        with pytest.raises(SequenceParseError) as e:
+            read_sequence("1 x" + "9" * 5000)
+        assert str(e.value) == f"token 1 is not an integer: {'x' + '9' * 39!r}... (5001 characters)"
+
 
 class TestTreeFormat:
     def test_read_tree_dispatch(self):

@@ -136,6 +136,9 @@ class TestParentArrayParsing:
         # a bad token is named with its index, the header's counted
         with pytest.raises(MalformedTreeError, match=r"^token 3 is not an integer: 'x'$"):
             parse_parent_array("3\n-1 0 x")
+        # an integer too long for int() is out of range, and quoted in part
+        with pytest.raises(MalformedTreeError, match=r"^token 2 lies outside the signed 64-bit range: '-9{39}'\.\.\. \(5001 characters\)$"):
+            parse_parent_array("2\n-1 -" + "9" * 5000)
         for parent in ([-1, 7], [-1, -2]):
             with pytest.raises(MalformedTreeError):
                 Tree.from_parents(parent)
@@ -402,6 +405,12 @@ class TestLevelAncestorIndex:
         assert idx.query(5, 2) == 5
         assert idx.query(5, 0) == 0
         assert idx.query(3, 1) == 1
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32])
+    def test_numpy_integer_arguments(self, integer):
+        idx = LevelAncestorIndex(Tree.from_parents(range(-1, 99)))  # a path: node v at depth v
+        for v, d in ((99, 3), (99, 0), (60, 58), (10, 7)):
+            assert idx.query(v, integer(d)) == idx.query(integer(v), integer(d)) == idx.query(integer(v), d) == d
 
     def test_errors(self):
         idx = LevelAncestorIndex(parse_parent_array("3\n-1 0 0"))

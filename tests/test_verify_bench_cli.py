@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+import findlarger.cli as cli_mod
+import findlarger.verify as verify_mod
 from findlarger import LevelAncestorIndex, OneLevelFL, Tree, parse_parent_array, validate_sequence
 from findlarger.bench import CSV_HEADER, BenchRecord, ScanFL, make_queries, run_bench
 from findlarger.cli import main
@@ -14,6 +16,10 @@ from findlarger.oracle import naive_fl
 from findlarger.verify import check_sequence, check_tree
 
 WALK = random_walk_values(300, seed=11)
+
+
+def refuse_to_run(*args, **kwargs):
+    raise AssertionError("called before the request was checked")
 
 
 class TestCheckSequence:
@@ -58,6 +64,12 @@ class TestCheckSequence:
         # a run that asks nothing must not report a pass
         with pytest.raises(ValueError, match="at least 1 query"):
             check_sequence(WALK, mode="random", queries=queries)
+
+    @pytest.mark.parametrize("mode, queries", [("fuzz", 10), ("random", 0)])
+    def test_refuses_before_building(self, monkeypatch, mode, queries):
+        monkeypatch.setattr(verify_mod, "OneLevelFL", refuse_to_run)
+        with pytest.raises(ValueError):
+            check_sequence(WALK, mode=mode, queries=queries)
 
     def test_seed_replays_the_same_random_queries(self):
         s = OneLevelFL(WALK, 5)
@@ -121,6 +133,12 @@ class TestCheckTree:
     def test_random_mode_needs_a_query(self, queries):
         with pytest.raises(ValueError, match="at least 1 query"):
             check_tree(self.TREE, mode="random", queries=queries)
+
+    @pytest.mark.parametrize("mode, queries", [("fuzz", 10), ("random", 0)])
+    def test_refuses_before_building(self, monkeypatch, mode, queries):
+        monkeypatch.setattr(verify_mod, "LevelAncestorIndex", refuse_to_run)
+        with pytest.raises(ValueError):
+            check_tree(self.TREE, mode=mode, queries=queries)
 
     def test_seed_replays_the_same_random_queries(self):
         tree, idx = self.broken_index()
@@ -295,6 +313,18 @@ class TestCli:
     def test_exit_2_on_too_few_bench_queries(self, capsys, queries):
         assert main(["bench", "--n", "100", "--queries", queries]) == 2
         assert "at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--queries", "0"], ["--structures", ""], ["--structures", "warp"]])
+    def test_bench_refuses_before_generating_or_reading(self, monkeypatch, argv):
+        monkeypatch.setattr(cli_mod, "random_walk_values", refuse_to_run)
+        monkeypatch.setattr(cli_mod, "_read_text", refuse_to_run)
+        assert main(["bench", *argv]) == 2
+        assert main(["bench", "-", *argv]) == 2
+
+    @pytest.mark.parametrize("fmt", ["seq", "parent"])
+    def test_verify_refuses_before_reading(self, monkeypatch, fmt):
+        monkeypatch.setattr(cli_mod, "_read_text", refuse_to_run)
+        assert main(["verify", "-", "--format", fmt, "--mode", "random", "--queries", "0"]) == 2
 
     def test_exit_2_on_random_verify_without_queries(self, tmp_path, capsys):
         f = tmp_path / "w.txt"
