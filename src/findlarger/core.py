@@ -10,12 +10,14 @@ with no answer are reported as ``n`` (also exposed as ``bottom``).
 Find-smaller queries are the mirror image and are served by building the
 structure over the negated sequence, see :func:`fs_query`.
 
-Sequence values are stored as int64.  Arrays of positions and offsets
-take the width :func:`position_dtype` picks from the largest value they
-must hold: int32 below 2^31, int64 otherwise.  The ladders of both the
-find-larger index and the level-ancestor index are laid out by one
-function, ``_ladders``: an offset o into the shared ladder array,
-anchored at the largest value y_max, holds the entry for a target y at
+Sequence values are read as int64, but an index keeps no values: it
+keeps each position's height below the largest value y_max, which on a
+1-difference sequence is at most n - 1.  Heights, like every array of
+positions and offsets, take the width :func:`position_dtype` picks from
+the largest value they must hold: int32 below 2^31, int64 otherwise.
+The ladders of both the find-larger index and the level-ancestor index
+are laid out by one function, ``_ladders``: an offset o into the shared
+ladder array, anchored at y_max, holds the entry for a target y at
 ``o + y - y_max``.
 """
 
@@ -159,9 +161,8 @@ def int64_array(values: Iterable[int]) -> np.ndarray:
 def validate_sequence(values: Iterable[int]) -> np.ndarray:
     """Check the 1-difference property and return the values as a 1-D int64 array.
 
-    A 1-D int64 ndarray is checked and returned as it is, without a copy,
-    so a structure built from it reads the caller's array; any other input
-    is converted from its integers by :func:`int64_array`.
+    A 1-D int64 ndarray is checked and returned as it is, without a copy;
+    any other input is converted from its integers by :func:`int64_array`.
 
     Raises:
         EmptySequenceError: no elements.
@@ -275,9 +276,9 @@ class SpaceReport:
     ``interior_ladder_entries`` excludes the two endpoint ladders, which
     are allowed to reach full height; the remaining ladders obey
     ``interior_ladder_entries <= interior_bound = (kappa - 1 + kappa_prime) * n``.
-    ``words`` counts every stored entry: the n values, the n jumps, the
-    n own-ladder offsets and the ladder entries.  The values take 8 bytes
-    each; the rest take 4 or 8, see :func:`position_dtype`.
+    ``words`` counts every stored entry: the n heights, the n jumps, the
+    n own-ladder offsets and the ladder entries.  The heights take the
+    position width; the rest take 4 or 8, see :func:`position_dtype`.
     """
 
     total_ladder_entries: int
@@ -290,6 +291,15 @@ def _kappa_prime(kappa: int) -> int:
     """ceil((2 * kappa + 2) / (kappa - 2)), the growth of a ladder with the
     weight of its valley."""
     return -((2 * kappa + 2) // (2 - kappa))
+
+
+def _heights(data: np.ndarray, y_max: int) -> np.ndarray:
+    """``y_max - data``, each position's height below the top, in the
+    width :func:`position_dtype` picks for n: no height of a 1-difference
+    sequence exceeds n - 1.  It is cast as it is computed, so no int64
+    temporary of length n is made."""
+    n = len(data)
+    return np.subtract(y_max, data, out=np.empty(n, dtype=position_dtype(n)))
 
 
 def _ladders(
@@ -549,14 +559,19 @@ class OneLevelFL:
     ndarrays, cheaper to read one entry at a time; all three take the
     width :func:`position_dtype` picks for the larger of n and that
     bound, so int32 short of 2^31; the fill itself computes in int64.
+    The values themselves are not kept: the index keeps each position's
+    height below the top, ``y_max - values[x]``, in the width
+    :func:`position_dtype` picks for n, and a query for y climbs
+    ``height[x] + y - y_max`` levels and reads the ladder entry at
+    ``o + y - y_max``.
 
     The structure is immutable after construction and safe to share
     between threads.
 
     Args:
         values: the sequence, as integers or as the int64 ndarray that
-            :func:`validate_sequence` returns; such an array is read in
-            place, not copied, so it must not change afterwards.
+            :func:`validate_sequence` returns; such an array is read during
+            the build only.
         kappa: ladder tuning parameter, at least 3.  Interior ladder
             entries stay within (kappa - 1 + kappa_prime) * n, which is
             minimised (8n) at kappa in {4, 5}.
@@ -577,7 +592,7 @@ class OneLevelFL:
         "own",
         "ladder_data",
         "build_stats",
-        "_values",
+        "_height",
     )
 
     def __init__(self, values: Iterable[int], kappa: int = 5):
@@ -588,7 +603,7 @@ class OneLevelFL:
         y_max = int(data.max())
         own, ladder_data, jump, self.build_stats = _ladders(data, kappa, y_min, y_max)
 
-        self._values = memoryview(data)
+        self._height = memoryview(_heights(data, y_max))
         self.n = n
         self.kappa = kappa
         self.kappa_prime = _kappa_prime(kappa)
@@ -602,39 +617,37 @@ class OneLevelFL:
     def query(self, x: int, y: int) -> int:
         """Least position i >= x with values[i] >= y, or ``bottom`` (= n).
 
-        Total over all integer arguments, numpy integers among them: x
-        may lie outside [0, n) and y outside the value range.  O(1).
+        Total over all integer arguments, numpy integers among them, which
+        are answered as the ints they hold: x may lie outside [0, n) and y
+        outside the value range.  O(1).
         """
+        if type(x) is not int or type(y) is not int:
+            return self.query(operator.index(x), operator.index(y))
         n = self.n
         if x >= n or y > self.y_max:
             return n
         if x < 0:
             x = 0
-        values = self._values
-        yx = values[x]
-        t = y - yx
+        dy = y - self.y_max  # at most 0
+        t = self._height[x] + dy  # y - values[x]
         if t <= 0:
             return x
         if t < self.kappa:
-            # own ladder is tall enough: heights are at least
-            # min(kappa - 1, y_max - values[x]) everywhere
+            # own ladder is tall enough: every ladder holds at least
+            # min(kappa - 1, height[x]) entries
             o = self.own[x]
         else:
             # align x down to a multiple of p, the largest power of two at
             # most t // kappa, avoiding positions whose power-of-two weight
             # exceeds p
-            p = t // self.kappa
-            try:
-                p = 1 << (p.bit_length() - 1)
-            except AttributeError:  # a numpy integer has no bit_length
-                return self.query(operator.index(x), operator.index(y))
+            p = 1 << ((t // self.kappa).bit_length() - 1)
             xh = x & -p
             if xh and not xh & p:
                 xh -= p
             o = self.jump[xh]
-        i = self.ladder_data[o + y - self.y_max]
+        i = self.ladder_data[o + dy]
         if __debug__:
-            assert i == n or (i >= x and values[i] == y)
+            assert i == n or (i >= x and self._height[i] == -dy)
         return i
 
     def find_larger(self, x: int, y: int) -> int | None:
@@ -645,11 +658,12 @@ class OneLevelFL:
     def space_report(self) -> SpaceReport:
         """Exact entry counts against the linear-space bound."""
         n = self.n
-        own, values = self.own, self._values
+        own, height = self.own, self._height
         total = len(self.ladder_data)
-        # all but the endpoint ladders 0 and n - 1: start(n - 1) - start(1)
-        interior = own[n - 1] - own[1] + values[n - 1] - values[1] if n > 1 else 0
-        # values + jump + own + ladder data
+        # all but the endpoint ladders 0 and n - 1: start(n - 1) - start(1),
+        # where values[n - 1] - values[1] = height[1] - height[n - 1]
+        interior = own[n - 1] - own[1] + height[1] - height[n - 1] if n > 1 else 0
+        # heights + jump + own + ladder data
         words = 3 * n + total
         return SpaceReport(
             total_ladder_entries=total,
@@ -663,12 +677,12 @@ class OneLevelFL:
         return sum(len(a) for a in self._arrays())
 
     def resident_bytes(self) -> int:
-        """Bytes held by the stored arrays: the values, jumps, own-ladder
+        """Bytes held by the stored arrays: the heights, jumps, own-ladder
         offsets and ladder entries."""
         return sum(a.nbytes for a in self._arrays())
 
     def _arrays(self) -> tuple[memoryview, ...]:
-        return (self._values, self.jump, self.own, self.ladder_data)
+        return (self._height, self.jump, self.own, self.ladder_data)
 
 
 def fs_query(structure: OneLevelFL, x: int, d: int) -> int:

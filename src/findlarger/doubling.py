@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import _fill, position_dtype, validate_sequence
+from .core import _fill, _heights, position_dtype, validate_sequence
 
 __all__ = ["DoublingFL"]
 
@@ -25,13 +25,14 @@ class DoublingFL:
     ``table``, which ``query`` reads, is a 2-D memoryview of ``levels``
     rows of n + 1 positions, of the width :func:`~findlarger.core.position_dtype`
     picks for n (int32 below 2^31); ``np.asarray(table)`` reads it as an ndarray.
+    Like :class:`~findlarger.core.OneLevelFL` it keeps no values, only each
+    position's height below the top, ``y_max - values[x]``, in that width.
     """
 
-    __slots__ = ("n", "levels", "y_max", "bottom", "table", "_values")
+    __slots__ = ("n", "levels", "y_max", "bottom", "table", "_height")
 
     def __init__(self, values: Iterable[int]):
         data = validate_sequence(values)
-        values = memoryview(data)
         n = len(data)
         y_min = int(data.min())
         y_max = int(data.max())
@@ -49,7 +50,7 @@ class DoublingFL:
             prev = table[k - 1, :n]
             table[k, :n] = table[k - 1][prev]
 
-        self._values = values
+        self._height = memoryview(_heights(data, y_max))
         self.n = n
         self.levels = levels
         self.y_max = y_max
@@ -57,35 +58,38 @@ class DoublingFL:
         self.table = memoryview(table)
 
     def query(self, x: int, y: int) -> int:
-        """Least i >= x with values[i] >= y, or n.  O(log(y - values[x]))."""
+        """Least i >= x with values[i] >= y, or n.  O(log(y - values[x])).
+
+        Numpy integer arguments are answered as the ints they hold.
+        """
+        if type(x) is not int or type(y) is not int:
+            return self.query(operator.index(x), operator.index(y))
         n = self.n
         if x >= n or y > self.y_max:
             return n
         if x < 0:
             x = 0
-        values = self._values
+        height = self._height
         table = self.table
+        dy = y - self.y_max  # at most 0
         cur = x
-        t = y - values[cur]
+        t = height[cur] + dy  # y - values[cur]
         if __debug__:
             hops = 0
-        try:
-            while t > 0:
-                cur = table[t.bit_length() - 1, cur]
-                if cur == n:
-                    return n
-                t = y - values[cur]
-                if __debug__:
-                    hops += 1
-                    assert hops <= self.levels, "query exceeded its hop budget"
-        except AttributeError:  # a numpy integer has no bit_length
-            return self.query(operator.index(x), operator.index(y))
+        while t > 0:
+            cur = table[t.bit_length() - 1, cur]
+            if cur == n:
+                return n
+            t = height[cur] + dy
+            if __debug__:
+                hops += 1
+                assert hops <= self.levels, "query exceeded its hop budget"
         return cur
 
     def entry_count(self) -> int:
-        """Stored entries: the n values and levels * (n + 1) table entries."""
-        return len(self._values) + self.levels * (self.n + 1)
+        """Stored entries: the n heights and levels * (n + 1) table entries."""
+        return len(self._height) + self.levels * (self.n + 1)
 
     def resident_bytes(self) -> int:
-        """Bytes held by the values and the table."""
-        return self._values.nbytes + self.table.nbytes
+        """Bytes held by the heights and the table."""
+        return self._height.nbytes + self.table.nbytes

@@ -526,10 +526,14 @@ class LevelAncestorIndex:
     def query(self, v: int, d: int) -> int:
         """Ancestor of v at depth d (root has depth 0).  O(1).
 
+        Numpy integer arguments are answered as the ints they hold.
+
         Raises:
             UnknownNodeError: v outside 0..n-1.
             DepthOutOfRangeError: d < 0 or d > depth(v).
         """
+        if type(v) is not int or type(d) is not int:
+            return self.query(operator.index(v), operator.index(d))
         depth = self.depth
         if not 0 <= v < len(depth):
             raise UnknownNodeError(f"node {v} not in 0..{len(depth) - 1}")
@@ -543,11 +547,7 @@ class LevelAncestorIndex:
         else:
             # the aligned jump of OneLevelFL.query
             x = self.first_pos[v]
-            p = t // self.kappa
-            try:
-                p = 1 << (p.bit_length() - 1)
-            except AttributeError:  # a numpy integer has no bit_length
-                return self.query(operator.index(v), operator.index(d))
+            p = 1 << ((t // self.kappa).bit_length() - 1)
             xh = x & -p
             if xh and not xh & p:
                 xh -= p

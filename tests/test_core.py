@@ -19,6 +19,7 @@ from findlarger import (
     validate_sequence,
 )
 from findlarger.bench import ScanFL
+from findlarger import core
 from findlarger.core import BLOCK, CHAIN, CHUNK, compute_valleys, position_dtype
 from findlarger.gen import random_walk_values
 from findlarger.oracle import naive_fl, naive_fs
@@ -63,6 +64,19 @@ class TestValidateSequence:
             for x in xs:
                 for y in ys:
                     assert from_array.query(x, y) == from_list.query(x, y)
+
+    @pytest.mark.parametrize("build", [OneLevelFL, DoublingFL])
+    def test_an_index_does_not_read_its_callers_array(self, build):
+        # the array is read during the build only: overwriting it
+        # afterwards changes no answer
+        values = random_walk_values(300, seed=7)
+        arr = np.array(values, dtype=np.int64)
+        s = build(arr)
+        arr[:] = arr[::-1].copy()
+        xs, ys = full_grid(values)
+        for x in xs:
+            for y in ys:
+                assert s.query(x, y) == naive_fl(values, x, y)
 
     def test_steps_that_wrap_int64_are_rejected(self):
         # numpy computes the steps as -1 and 1 (both wrapped) and -2**63
@@ -279,7 +293,7 @@ class TestBlockedFill:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            kept = s.resident_bytes() - values.nbytes  # the values were allocated before
+            kept = s.resident_bytes()  # the index keeps heights, not the values
             # the valleys and the heights take about 20 bytes per position
             # beyond what the index keeps, more than a piece of CHUNK entries
             # adds later; a long ladder searched whole would take 48 more
@@ -350,6 +364,30 @@ class TestQuery:
         for x, y in ((0, 50), (0, 2), (37, 99), (99, 50), (5, 120)):
             want = naive_fl(range(100), x, y)
             assert s.query(x, integer(y)) == s.query(integer(x), integer(y)) == s.query(integer(x), y) == want
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "build",
+        [lambda v: OneLevelFL(v, 3), lambda v: OneLevelFL(v, 30), DoublingFL],
+        ids=["one-level-kappa-3", "one-level-kappa-30", "doubling"],
+    )
+    def test_numpy_integers_are_answered_as_their_ints(self, build):
+        # numpy arithmetic would wrap at the int64 limits, and an int32
+        # would not take the values past its range: every argument is
+        # answered as the Python int it holds, and every answer is an int
+        cases = [
+            (range(2**63 - 20, 2**63), np.int64, [-(2**63), 2**63 - 1, 2**63 - 10, 2**63 - 20]),
+            (range(-(2**63), -(2**63) + 20), np.int64, [-(2**63), 2**63 - 1, -(2**63) + 10, 0]),
+            (range(2**40, 2**40 + 100), np.int32, [5, -(2**31), 2**31 - 1]),
+            (range(-(2**40), -(2**40) + 100), np.int32, [5, -(2**31), 2**31 - 1]),
+        ]
+        for values, integer, ys in cases:
+            s = build(values)
+            for x in (0, 7, 19, len(values)):
+                for y in ys:
+                    want = naive_fl(values, x, y)
+                    for got in (s.query(x, integer(y)), s.query(integer(x), integer(y)), s.query(integer(x), y)):
+                        assert type(got) is int and got == want, (values, x, y)
 
     def test_staircase_jump_path(self):
         # ascending staircase forces the aligned-position branch
@@ -429,6 +467,24 @@ class TestSpaceAndStats:
     def test_resident_bytes_are_the_arrays_nbytes(self):
         s = OneLevelFL(EXAMPLE, 5)
         r = s.space_report()
-        # 6 int64 values; 6 jumps, 6 own offsets and 5 ladder entries in int32
-        assert s.resident_bytes() == 8 * 6 + 4 * (6 + 6 + 5) == 116
+        # 6 heights, 6 jumps, 6 own offsets and 5 ladder entries in int32
+        assert s.resident_bytes() == 4 * (6 + 6 + 6 + 5) == 92
         assert s.entry_count() == r.words == 6 + 6 + 6 + 5
+        # kappa 2^62 makes every ladder full height, as tall as at kappa 5 here
+        assert OneLevelFL(EXAMPLE, 2**62).resident_bytes() == 92
+
+    def test_heights_take_the_width_of_n(self, monkeypatch):
+        # under a width rule of int8 below 2^7, the 100 heights of this run
+        # fit int8, but its offsets pass 2^7 and take int64
+        values = list(range(100))
+        want = OneLevelFL(values, 5), DoublingFL(values)
+        monkeypatch.setattr(core, "position_dtype", lambda largest: np.int8 if largest < 2**7 else np.int64)
+        s, d = OneLevelFL(values, 5), DoublingFL(values)
+        total = len(s.ladder_data)
+        assert total >= 2**7
+        assert s.resident_bytes() == 1 * 100 + 8 * (100 + 100 + total)
+        assert d.resident_bytes() == 1 * 100 + d.table.nbytes
+        xs, ys = full_grid(values)
+        for x in xs:
+            for y in ys:
+                assert s.query(x, y) == d.query(x, y) == want[0].query(x, y) == want[1].query(x, y)

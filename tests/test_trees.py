@@ -412,6 +412,25 @@ class TestLevelAncestorIndex:
         for v, d in ((99, 3), (99, 0), (60, 58), (10, 7)):
             assert idx.query(v, integer(d)) == idx.query(integer(v), integer(d)) == idx.query(integer(v), d) == d
 
+    @pytest.mark.filterwarnings("error")
+    def test_numpy_integers_are_answered_as_their_ints(self):
+        # numpy arithmetic would wrap at the limits of its width: every
+        # argument is answered as the Python int it holds
+        idx = LevelAncestorIndex(Tree.from_parents(range(-1, 99)))  # a path: node v at depth v
+        for integer in (np.int64, np.int32):
+            info = np.iinfo(integer)
+            for v in (0, 50, 99):
+                for d in (info.min, info.max):
+                    for args in ((v, integer(d)), (integer(v), integer(d))):
+                        with pytest.raises(DepthOutOfRangeError, match=f"requested {d}$"):
+                            idx.query(*args)
+                for args in ((integer(v), v), (integer(v), integer(v // 2))):
+                    got = idx.query(*args)
+                    assert type(got) is int and got == int(args[1])
+            for v in (info.min, info.max):
+                with pytest.raises(UnknownNodeError, match=f"node {v} "):
+                    idx.query(integer(v), 0)
+
     def test_errors(self):
         idx = LevelAncestorIndex(parse_parent_array("3\n-1 0 0"))
         with pytest.raises(UnknownNodeError):
