@@ -113,13 +113,23 @@ def cmd_inspect(args) -> int:
     row("Valley", valley)
     row("Weight", weight)
     row("JumpOffset", s.jump)
-    # own[x] = start(x) + (y_max - values[x]) - 1, and the last ladder ends the data
-    starts = np.append(np.asarray(s.own) - (s.y_max - seq) + 1, len(s.ladder_data))
+    # ladders sit at run starts: 0, n - 1 and where the values do not rise;
+    # the other positions of a run read its start's ladder ("-" below)
+    lead = np.ones(s.n, dtype=bool)
+    lead[1:-1] = seq[1:-1] <= seq[:-2]
+    runs = np.flatnonzero(lead)
+    row("RunStart", runs[np.cumsum(lead) - 1])
+    # own[b] = start(b) + (y_max - values[b]) - 1, and the last ladder ends the data
+    starts = np.append(np.asarray(s.own)[runs] - (s.y_max - seq[runs]) + 1, len(s.ladder_data))
     heights = np.diff(starts)
-    row("LadderStart", starts[: s.n])
-    row("LadderHeight", heights)
-    for x in np.flatnonzero(heights):
-        row(f"Ladder[{x}]", s.ladder_data[starts[x] : starts[x + 1]])
+    shown = np.full(s.n, "-", dtype=object)
+    shown[runs] = starts[:-1]
+    row("LadderStart", shown)
+    shown[runs] = heights
+    row("LadderHeight", shown)
+    for b, start, height in zip(runs, starts, heights):
+        if height:
+            row(f"Ladder[{b}]", s.ladder_data[start : start + height])
     print(f"total_ladder_entries: {report.total_ladder_entries}")
     print(f"interior_ladder_entries: {report.interior_ladder_entries}")
     print(f"interior_bound: {report.interior_bound}")

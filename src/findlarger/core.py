@@ -16,9 +16,9 @@ keeps each position's height below the largest value y_max, which on a
 positions and offsets, take the width :func:`position_dtype` picks from
 the largest value they must hold: int32 below 2^31, int64 otherwise.
 The ladders of both the find-larger index and the level-ancestor index
-are laid out by one function, ``_ladders``: an offset o into the shared
-ladder array, anchored at y_max, holds the entry for a target y at
-``o + y - y_max``.
+are laid out by one function, ``_ladders``, at the starts of rising runs
+only: an offset o into the shared ladder array, anchored at y_max, holds
+the entry for a target y at ``o + y - y_max``.
 """
 
 from __future__ import annotations
@@ -273,8 +273,9 @@ class BuildStats:
 class SpaceReport:
     """Exact entry counts for one built structure.
 
-    ``interior_ladder_entries`` excludes the two endpoint ladders, which
-    are allowed to reach full height; the remaining ladders obey
+    ``interior_ladder_entries`` excludes the two endpoint ladders, that
+    of the run of 0 and that of n - 1, which reach full height; the
+    remaining ladders obey
     ``interior_ladder_entries <= interior_bound = (kappa - 1 + kappa_prime) * n``.
     ``words`` counts every stored entry: the n heights, the n jumps, the
     n own-ladder offsets and the ladder entries.  The heights take the
@@ -302,12 +303,62 @@ def _heights(data: np.ndarray, y_max: int) -> np.ndarray:
     return np.subtract(y_max, data, out=np.empty(n, dtype=position_dtype(n)))
 
 
+def _hold(data: np.ndarray, heights: np.ndarray, floor: int, y_max: int, rising_queries: bool) -> None:
+    """Turn ``heights``, the weight term kappa_prime * (weight - 1) - 2
+    of each position, into the number of ladder entries it holds, in
+    place (see :func:`_ladders`).
+
+    A run b..e's ladder holds b's weight term, but at least
+    floor + q - b and at most top(b) = y_max - data[b]; b .. q - 1 hold
+    one entry each and q the rest.  The ladders of 0's run and of n - 1
+    reach the top.  The runs are found in pieces of BLOCK from the
+    right, so that the temporaries stay at the size of a piece.
+    """
+    n = len(data)
+    # above every top plus every run's length, as no top reaches n: the
+    # ladders of 0's run and of n - 1 are cut to the top
+    heights[0] = heights[-1] = 2 * n
+    after = n  # the first run start right of the piece
+    for j in range(n - 1 - (n - 1) % BLOCK, -1, -BLOCK):
+        k = min(j + BLOCK, n)
+        piece = data[j:k]
+        # the run starts, then one past the piece, which stands for after
+        lead = np.empty(k - j + 1, dtype=bool)
+        np.less_equal(piece[1:], piece[:-1], out=lead[1:-1])
+        lead[0] = j == 0 or data[j] <= data[j - 1]
+        lead[-1] = True
+        if k == n:
+            lead[-2] = True
+        runs = lead.nonzero()[0]
+        runs += j
+        runs[-1] = after
+        b = runs[:-1]
+        h = heights[b]  # the weight terms
+        if rising_queries:
+            # q = e holds the ladder less the q - b entries of b .. q - 1:
+            # max(weight term - (q - b), floor), at most
+            # top(b) - (q - b) = top(q)
+            q = runs[1:] - 1
+            h += b
+            h -= q
+        else:
+            q = b
+        # one entry for each position of a run before q, the rest at q
+        heights[j:k] = rising_queries
+        np.maximum(h, floor, out=h)
+        top = data[q]
+        np.subtract(y_max, top, out=top)
+        np.minimum(h, top, out=h)
+        heights[q] = h
+        after = int(runs[0])
+
+
 def _ladders(
     data: np.ndarray,
     kappa: int,
     y_min: int,
     y_max: int,
-    starts_at: np.ndarray | None = None,
+    rising_queries: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, BuildStats]:
     """The build both :class:`OneLevelFL` and ``LevelAncestorIndex`` run
     over ``data``, a 1-difference int64 array of least and largest values
@@ -319,58 +370,53 @@ def _ladders(
     writes every ladder entry and, for every x, the position where x's
     jump lands.  This function alone works in offsets, anchored at
     ``y_max``: the entry for a target y of the ladder an offset o names
-    is ``ladder_data[o + y - y_max]``.  ``own[x]`` names x's own ladder,
-    ``start(x) + (y_max - data[x]) - 1`` for the ladder's first entry
-    start(x), and a jump that lands on p becomes ``own[valley[p]]``, the
-    ladder of the landing's valley, which is tall enough for every
-    target the jump serves (``valley[n] = n - 1`` for a landing on n).
-    The offsets lie in [-1, total + y_max - y_min) for total ladder
-    entries, so all three arrays take the width :func:`position_dtype`
-    picks for the larger of that bound and n.
+    is ``ladder_data[o + y - y_max]``.  ``own[x]`` is
+    ``start(x) + (y_max - data[x]) - 1`` for the start(x) of x's entries,
+    and a jump that lands on p becomes ``own[valley[p]]``, the ladder of
+    the landing's valley, which is tall enough for every target the jump
+    serves (``valley[n] = n - 1`` for a landing on n).  The offsets lie
+    in [-1, total + y_max - y_min) for total ladder entries, so all three
+    arrays take the width :func:`position_dtype` picks for the larger of
+    that bound and n.
 
-    ``starts_at`` is a boolean mask of the positions where queries may
-    start, None for all of them.  A position outside it gets an empty
-    ladder, and the arrays are otherwise those of the full build, each
-    ladder moved down by the entries dropped before it.  A jump lands in
-    the ladder of a valley, so the mask must hold every valley, the
-    closing valley n - 1 among them.
+    Ladders go at run starts only.  A run b..e of rising steps starts
+    where the data do not rise: at 0, wherever ``data[b] <= data[b - 1]``,
+    and at n - 1, which always starts a run of its own.  Every valley is
+    a run start.  A position x of the run answers every target above
+    ``data[x]`` as b does, so it reads b's ladder, whose entry j answers
+    ``data[b] + j + 1``, from entry x - b on: own[x] = own[b].  The
+    positions b .. q - 1, for q the run's last query start (e, or b if
+    ``rising_queries`` is false), hold one entry each, the one for their
+    own level, and q holds the rest, so that start(x) = start(b) + x - b
+    and the fill writes each position's entries as it would those of a
+    ladder of its own.  The run's ladder holds
+    ``kappa_prime * (weight(b) - 1) - 2`` entries, but at least
+    ``min(kappa - 1, y_max - y_min) + q - b``, and at most the height of
+    b below the top, which the ladders of 0's run and of n - 1 reach.
+
+    ``rising_queries`` says whether queries start on rising steps.
+    ``LevelAncestorIndex`` starts them at first visits only, which are
+    run starts, so its runs' ladders need not cover the return stops.
 
     The heights and ladder starts are summed from the valleys here, with
     up, the next position one level higher, as a temporary of n + 1
     positions for the fill; the n + 1 starts then become the n entries
     of ``own`` in place, and only then the landings become offsets: a
     landing's valley can lie left of the piece that jumps to it.
-
-    Raises:
-        ValueError: ``starts_at`` misses a valley.
     """
     n = len(data)
     valley, pushes, pops = _sweep_valleys(memoryview(data))
-    if starts_at is not None:
-        missed = ~starts_at[valley]
-        if missed.any():
-            x = int(missed.argmax())
-            raise ValueError(f"the valley {valley[x]} of position {x} lies outside the start mask")
     kappa_prime = _kappa_prime(kappa)
 
-    # ladder starts, summed from the heights: endpoints reach the top;
-    # interior ladders grow with the weight of their valley, as
-    # kappa_prime * (weight - 1) - 2 but at least kappa - 1, and never
-    # pass the top.  No height exceeds y_max - y_min, so the floor is
-    # cut to it, which keeps any kappa within int64.  The heights and
-    # their sums are computed in place, in int64: temporary arrays
-    # would raise the peak memory.
+    # what each position holds, then the ladder starts summed from it, in
+    # place, in int64: temporary arrays of length n would raise the peak
+    # memory.  No height exceeds y_max - y_min, so the floor is cut to it,
+    # which keeps any kappa within int64.
     heights = np.bincount(valley[:n], minlength=n)
     heights *= kappa_prime
     heights -= kappa_prime + 2
-    np.maximum(heights, min(kappa - 1, y_max - y_min), out=heights)
-    cap = y_max - data
-    np.minimum(heights, cap, out=heights)
-    heights[0], heights[-1] = cap[0], cap[-1]
-    del cap
-    if starts_at is not None:
-        heights *= starts_at
-    np.cumsum(heights, out=heights)
+    _hold(data, heights, min(kappa - 1, y_max - y_min), y_max, rising_queries)
+    heights.cumsum(out=heights)
     # offsets and positions take the width of the larger of n and the
     # offsets' bound, read from the int64 sum before the arrays are allocated
     total = int(heights[-1])
@@ -428,8 +474,8 @@ def _fill(
     It writes ``up[x]``, the first position after x one level above
     ``data[x]``, or n for none, for every x < n; ``up[n]`` must hold n.
     With ``ladders``, the tuple (kappa, starts, ladder_data, jump) of
-    :func:`_ladders`, it also writes every ladder entry, entry r of x's
-    ladder at ``starts[x] + r`` being the first position after x at
+    :func:`_ladders`, it also writes every ladder entry, the entry r that
+    x holds, at ``starts[x] + r``, being the first position after x at
     level data[x] + r + 1, and in ``jump[x]`` the first position after
     x at level data[x] + (kappa - 2) * lowbit(x), where x's jump lands
     (x itself for x = 0, and n past y_max).  :func:`_ladders` turns the
@@ -472,7 +518,7 @@ def _fill(
         # entries 0 .. rows - 1 of each ladder are chained; one row at least,
         # even where the spread y_max - y_min, which no ladder passes, is 0
         rows = min(kappa - 1, CHAIN, max(size - 2, 1))
-        row = _ROW[:rows, None]
+        row = _ROW[1:rows, None]
     for a in range(n - 1 - (n - 1) % BLOCK, -1, -BLOCK):
         b = min(a + BLOCK, n)
         m = b - a
@@ -495,11 +541,13 @@ def _fill(
             # by lowbit class, and in key order inside a class: the sort is
             # stable, and x = a, in a class of its own, comes last
             by_class = local[_CLASS[local].argsort(kind="stable")]
-        needles = np.empty(m + jumps + hi - lo + 1, dtype=np.int64)
+        # the first key of each level, carried to the blocks on the left
+        carry = np.arange(lo * w, (hi + 1) * w, w) if a else _LOCAL[:0]
+        needles = np.empty(m + jumps + len(carry), dtype=np.int64)
         np.add(sorted_keys[:m], w, out=needles[:m])
         if jumps:
             jump_needles.take(by_class, out=needles[m : 2 * m])
-        needles[m + jumps :] = np.arange(lo * w, (hi + 1) * w, w)
+        needles[m + jumps :] = carry
         answers = _first_at(sorted_keys, needles, a, next_at)
         up[a:b][local] = answers[:m]
         if ladders is not None:
@@ -509,34 +557,42 @@ def _fill(
             # either passes 2^31 from 2^19 on
             st = starts[a : b + 1].astype(np.int64)
             heights = st[1:] - st[:-1]
-            chained = row < heights  # [r, x]: entry r of ladder x is chained
-            # the tall entries are ranked through the block: ladder x holds
-            # ranks tall[x] to tall[x + 1], and rank q is its entry
-            # q - tall[x] + rows
-            tall = st - st[0]
-            tall[1:] -= np.cumsum(np.minimum(heights, rows))
-            for q0 in range(0, int(tall[m]), CHUNK):
-                q1 = min(q0 + CHUNK, int(tall[m]))
-                # entry r of ladder x sits at st[x] + r and answers level
-                # + r + 1, so its needle is key_x + (r + 1) * w
-                cut = np.minimum(np.maximum(tall, q0), q1)
-                counts = cut[1:] - cut[:-1]
-                r0 = np.subtract(rows, tall[:m])  # r - q for the ranks q of ladder x
-                dst = np.repeat(st[:m] + r0, counts)
-                dst += np.arange(q0, q1)
-                r0 += 1
-                r0 *= w
-                r0 += block_keys
-                tall_needles = np.repeat(r0, counts)
-                tall_needles += np.arange(q0 * w, q1 * w, w)
-                ladder_data[dst] = _first_at(sorted_keys, tall_needles, a, next_at)
-            # row r holds entry r of every ladder of the block: up[x] for r = 0
-            chain = np.empty((rows, m), dtype=up.dtype)
-            chain[0] = up[a:b]
+            # the entries past the chained ones are searched.  The ladders
+            # x that hold them are ranked through the block: ladder x[i]
+            # holds ranks tall[i] to tall[i + 1], and rank q is its entry
+            # q - tall[i] + rows
+            x = (heights > rows).nonzero()[0]
+            if len(x):
+                tall = np.zeros(len(x) + 1, dtype=np.int64)
+                np.subtract(heights[x], rows).cumsum(out=tall[1:])
+                for q0 in range(0, int(tall[-1]), CHUNK):
+                    q1 = min(q0 + CHUNK, int(tall[-1]))
+                    # entry r of ladder x sits at st[x] + r and answers
+                    # level + r + 1, so its needle is key_x + (r + 1) * w
+                    cut = np.minimum(np.maximum(tall, q0), q1)
+                    counts = cut[1:] - cut[:-1]
+                    r0 = np.subtract(rows, tall[:-1])  # r - q for the ranks q of ladder x[i]
+                    dst = (st[x] + r0).repeat(counts)
+                    dst += np.arange(q0, q1)
+                    r0 += 1
+                    r0 *= w
+                    r0 += block_keys[x]
+                    tall_needles = r0.repeat(counts)
+                    tall_needles += np.arange(q0 * w, q1 * w, w)
+                    ladder_data[dst] = _first_at(sorted_keys, tall_needles, a, next_at)
+            # entry 0 of a ladder is up[x]; row r holds entry r of each
+            # ladder taller than one, up of row r - 1
+            held = heights > 0
+            ladder_data[st[:m][held]] = up[a:b][held]
+            held = (heights > 1).nonzero()[0]
+            chain = np.empty((rows, len(held)), dtype=up.dtype)
+            up[a:b].take(held, out=chain[0])
             for r in range(1, rows):
                 up.take(chain[r - 1], out=chain[r], mode="clip")
-            ladder_data[(st[:m] + row)[chained]] = chain[chained]
-        next_at[lo : hi + 1] = answers[m + jumps :]
+            chained = row < heights.take(held)  # [r - 1, x]: entry r of ladder x is chained
+            ladder_data[(st.take(held) + row)[chained]] = chain[1:][chained]
+        if a:  # the carry, which the last block has no use for
+            next_at[lo : hi + 1] = answers[m + jumps :]
 
 
 class OneLevelFL:
@@ -552,13 +608,17 @@ class OneLevelFL:
     All ladders share one array, ``ladder_data``, and are named by
     offsets anchored at ``y_max``: the ladder an offset o names holds its
     entry for a target y at ``ladder_data[o + y - y_max]``, one read.
-    ``own[x]`` names x's own ladder, whose entry j answers the target
-    ``values[x] + j + 1``, and ``jump[x]`` is ``own[b]`` for the base b
-    that x jumps to.  The offsets lie in [-1, len(ladder_data) + y_max -
-    y_min).  ``own``, ``jump`` and ``ladder_data`` are memoryviews of
-    ndarrays, cheaper to read one entry at a time; all three take the
-    width :func:`position_dtype` picks for the larger of n and that
-    bound, so int32 short of 2^31; the fill itself computes in int64.
+    Ladders go at run starts, where the values do not rise, and at
+    n - 1: a position x on a rising step answers every target above
+    ``values[x]`` as the start b of its rising run does, so ``own[x]``
+    is ``own[b]``, and b's ladder is tall enough for the short climbs of
+    every position of its run.  ``jump[x]`` is ``own[p]`` for the valley
+    p that x jumps to, itself a run start.  The offsets lie in
+    [-1, len(ladder_data) + y_max - y_min).  ``own``, ``jump`` and
+    ``ladder_data`` are memoryviews of ndarrays, cheaper to read one
+    entry at a time; all three take the width :func:`position_dtype`
+    picks for the larger of n and that bound, so int32 short of 2^31;
+    the fill itself computes in int64.
     The values themselves are not kept: the index keeps each position's
     height below the top, ``y_max - values[x]``, in the width
     :func:`position_dtype` picks for n, and a query for y climbs
@@ -633,8 +693,8 @@ class OneLevelFL:
         if t <= 0:
             return x
         if t < self.kappa:
-            # own ladder is tall enough: every ladder holds at least
-            # min(kappa - 1, height[x]) entries
+            # the ladder of x's run is tall enough: it holds at least
+            # min(kappa - 1, height[x]) entries above values[x]
             o = self.own[x]
         else:
             # align x down to a multiple of p, the largest power of two at
@@ -658,11 +718,11 @@ class OneLevelFL:
     def space_report(self) -> SpaceReport:
         """Exact entry counts against the linear-space bound."""
         n = self.n
-        own, height = self.own, self._height
+        height = self._height
         total = len(self.ladder_data)
-        # all but the endpoint ladders 0 and n - 1: start(n - 1) - start(1),
-        # where values[n - 1] - values[1] = height[1] - height[n - 1]
-        interior = own[n - 1] - own[1] + height[1] - height[n - 1] if n > 1 else 0
+        # all but the endpoint ladders, which reach the top: the ladder of
+        # 0's run and that of n - 1, both empty when n = 1
+        interior = total - height[0] - height[n - 1]
         # heights + jump + own + ladder data
         words = 3 * n + total
         return SpaceReport(

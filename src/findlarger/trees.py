@@ -470,12 +470,12 @@ class LevelAncestorIndex:
     t - 1 of the ladder at ``first_pos[v]``, and a taller t reads the
     ladder that the aligned jump entry points into.
 
-    Queries start only at first visits, and every jump lands in the
-    ladder of a valley of the negated depths.  A valley is a first visit
-    too: a stop that returns to u from a child has as its valley the
-    deepest, rightmost leaf below that child, and a leaf has one stop.
-    So only the first visits, and the last stop (the closing valley),
-    get ladders; the n - 1 return stops get none.
+    The negated depths rise exactly at the n - 1 return stops, so the
+    first visits are the run starts, where ``_ladders`` puts the ladders
+    (the last stop, the root, gets an empty one).  Queries start only at
+    first visits, so the build runs with ``rising_queries=False``: a run's
+    ladder need not cover the return stops after its start, and they get
+    no entries of their own.
 
     It keeps only what ``query`` reads, as memoryviews: each node's
     ``first_pos`` and ``depth`` from the tour, and the ``own``, ``jump``
@@ -499,16 +499,11 @@ class LevelAncestorIndex:
         check_kappa(kappa)
         tour = euler_tour(tree)
         first_pos, depth, depths = tour.first_pos, tour.depth, tour.depths
-        n = len(depths)
         largest = int(depth.max())
         # the tour is local, so its depths are negated in place; they are
         # 1-difference by construction
         np.negative(depths, out=depths)
-        starts_at = np.zeros(n, dtype=bool)
-        starts_at[first_pos] = True
-        starts_at[-1] = True
-        own, ladder_data, jump, _ = _ladders(depths, kappa, -largest, 0, starts_at)
-        del starts_at
+        own, ladder_data, jump, _ = _ladders(depths, kappa, -largest, 0, rising_queries=False)
         own = own[first_pos]  # by node, at its first visit
         # stops to nodes, in place, in pieces: no temporary of the ladders'
         # length; assigned, as the ladders can be wider than the tour

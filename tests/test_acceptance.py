@@ -114,19 +114,15 @@ def test_criterion_3_space_bounds():
     )
 
 
-def _bench_build_ns(n: int, reps: int, tmp_path) -> int:
-    best = None
-    for rep in range(reps):
-        out = tmp_path / f"bench_{n}_{rep}.csv"
-        code = cli_main(
-            ["bench", "--n", str(n), "--seed", "4", "--queries", "20000",
-             "--structures", "onelevel", "--out", str(out)]
-        )
-        assert code == 0
-        row = next(csv.DictReader(out.read_text().splitlines()))
-        build_ns = int(row["build_ns"])
-        best = build_ns if best is None else min(best, build_ns)
-    return best
+def _bench_build_ns(n: int, rep: int, tmp_path) -> int:
+    out = tmp_path / f"bench_{n}_{rep}.csv"
+    code = cli_main(
+        ["bench", "--n", str(n), "--seed", "4", "--queries", "20000",
+         "--structures", "onelevel", "--out", str(out)]
+    )
+    assert code == 0
+    row = next(csv.DictReader(out.read_text().splitlines()))
+    return int(row["build_ns"])
 
 
 def test_criterion_4_linear_build(tmp_path):
@@ -138,9 +134,14 @@ def test_criterion_4_linear_build(tmp_path):
     assert st.stack_pops <= st.stack_pushes, "popped more than was pushed"
     counters = f"pushes {st.stack_pushes} <= n={s.n}, pops {st.stack_pops}"
     del s, seq
-    # wall-clock ratio between doubled sizes, reported by the bench command
-    t20 = _bench_build_ns(1 << 20, 3, tmp_path)
-    t21 = _bench_build_ns(1 << 21, 3, tmp_path)
+    # wall-clock ratio between doubled sizes, reported by the bench command:
+    # the best of 3 builds each, interleaved and alternating which size goes
+    # first, so that a slow spell of the host lands on both sizes
+    builds: dict[int, list[int]] = {1 << 20: [], 1 << 21: []}
+    for rep in range(3):
+        for n in sorted(builds, reverse=rep % 2 == 1):
+            builds[n].append(_bench_build_ns(n, rep, tmp_path))
+    t20, t21 = min(builds[1 << 20]), min(builds[1 << 21])
     ratio = t21 / t20
     _report(
         "4",

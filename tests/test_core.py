@@ -21,9 +21,9 @@ from findlarger import (
 from findlarger.bench import ScanFL
 from findlarger import core
 from findlarger.core import BLOCK, CHAIN, CHUNK, compute_valleys, position_dtype
-from findlarger.gen import random_walk_values
+from findlarger.gen import random_parent_array, random_walk_values
 from findlarger.oracle import naive_fl, naive_fs
-from findlarger.trees import parse_parent_array
+from findlarger.trees import euler_tour, parse_parent_array
 
 from conftest import full_grid, one_diff_lists
 
@@ -39,8 +39,28 @@ def ladder_starts(s, values):
 
 
 def heights(s, values):
-    """Ladder heights of a built structure, from its adjacent starts."""
+    """How many ladder entries each position of a built structure holds,
+    from its adjacent starts."""
     return np.diff(ladder_starts(s, values)).tolist()
+
+
+def run_starts(values):
+    """b(x), the start of the run of rising steps that holds x: x itself
+    where the values do not rise, at 0, and at n - 1."""
+    n = len(values)
+    b = []
+    for x, v in enumerate(values):
+        b.append(x if x in (0, n - 1) or v <= values[x - 1] else b[-1])
+    return b
+
+
+def run_ladders(s, values):
+    """{b: (start, height)} for every run start b of a built structure:
+    where b's ladder starts and how many entries it holds, which the
+    positions of b's run hold between them."""
+    starts = ladder_starts(s, values)
+    leads = sorted(set(run_starts(values)))
+    return {b: (starts[b], starts[e] - starts[b]) for b, e in zip(leads, leads[1:] + [len(values)])}
 
 
 class TestValidateSequence:
@@ -171,17 +191,20 @@ class TestBuildExample:
         s = OneLevelFL(EXAMPLE, 5)
         assert s.n == 6 and s.bottom == 6
         assert (s.y_min, s.y_max) == (0, 2)
-        # own[x] = start(x) + (y_max - values[x]) - 1
-        assert list(s.own) == [0, 2, 3, 3, 4, 4]
-        assert ladder_starts(s, EXAMPLE) == [0, 1, 3, 4, 4, 5, 5]
+        # runs start at 0, 1, 4 and 5; 2 and 3 rise, and read the ladder of 1
+        assert run_starts(EXAMPLE) == [0, 1, 1, 1, 4, 5]
+        # own[x] = start(x) + (y_max - values[x]) - 1, the same along a run
+        assert list(s.own) == [0, 2, 2, 2, 3, 3]
+        assert ladder_starts(s, EXAMPLE) == [0, 1, 2, 3, 3, 4, 4]
         # position 0 jumps to its own ladder, every other one to ladder 5,
         # each stored as own[base]
         assert list(s.jump) == [s.own[b] for b in [0, 5, 5, 5, 5, 5]]
-        assert list(s.jump) == [0, 4, 4, 4, 4, 4]
-        # ladder x spans start(x) .. start(x + 1)
-        assert heights(s, EXAMPLE) == [1, 2, 1, 0, 1, 0]
-        # entries are full find-larger answers: L_0 = [3], L_1 = [2, 3], ...
-        assert list(s.ladder_data) == [3, 2, 3, 3, 5]
+        assert list(s.jump) == [0, 3, 3, 3, 3, 3]
+        # the run 1..3 holds ladder 1, one entry for 1 and one for 2
+        assert heights(s, EXAMPLE) == [1, 1, 1, 0, 1, 0]
+        assert run_ladders(s, EXAMPLE) == {0: (0, 1), 1: (1, 2), 4: (3, 1), 5: (4, 0)}
+        # entries are full find-larger answers: L_0 = [3], L_1 = [2, 3], L_4 = [5]
+        assert list(s.ladder_data) == [3, 2, 3, 5]
 
     def test_every_ladder_entry_matches_the_oracle(self):
         for kappa in (3, 4, 5, 6):
@@ -202,17 +225,28 @@ class TestBuildExample:
                 assert s.jump[0] == s.own[0] == s.y_max - values[0] - 1
 
     def test_endpoint_ladders_reach_the_top(self):
-        s = OneLevelFL(EXAMPLE, 5)
-        assert heights(s, EXAMPLE)[0] == s.y_max - EXAMPLE[0]
-        assert heights(s, EXAMPLE)[5] == s.y_max - EXAMPLE[5]
+        # the ladder of 0's run and that of n - 1, which starts a run of
+        # its own, also where the values rise into it
+        for values in (EXAMPLE, [2, 3, 4, 3, 2, 3, 4, 5, 6], list(range(9))):
+            s = OneLevelFL(values, 5)
+            ladders = run_ladders(s, values)
+            n = len(values)
+            assert ladders[0][1] == s.y_max - values[0]
+            assert ladders[n - 1][1] == s.y_max - values[n - 1]
 
 
-def reference_build(values, kappa):
-    """Own offsets, ladders and jumps by a per-position right-to-left
-    loop over Python integers: the reference the blocked fill must equal.
-    Each ladder is placed at a start summed from the heights, then named
-    by the offset ``own[x] = starts[x] + (y_max - values[x]) - 1``; each
-    jump is computed as its base position, then stored as ``own[base]``."""
+def reference_build(values, kappa, rising_queries=True):
+    """Own offsets, ladders and jumps by per-position loops over Python
+    integers: the reference the blocked build must equal.
+
+    A ladder goes at each run start b (0, n - 1, and each x where the
+    values do not rise) and is shared by b's run of rising steps b..e:
+    the positions b .. q - 1 hold one entry each and q the rest, for q
+    the run's last query start (e, or b without rising queries).  The
+    entries are placed at starts summed from what each position holds,
+    then named by the offset ``own[x] = starts[x] + (y_max - values[x])
+    - 1``; each jump is computed as its base position, then stored as
+    ``own[base]``."""
     n = len(values)
     valley = compute_valleys(values).tolist()
     y_min, y_max = min(values), max(values)
@@ -221,10 +255,20 @@ def reference_build(values, kappa):
     for v in valley[:n]:
         weight[v] += 1
     floor = min(kappa - 1, y_max - y_min)
-    heights = [min(max(kappa_prime * (wt - 1) - 2, floor), y_max - y) for wt, y in zip(weight, values)]
-    heights[0], heights[-1] = y_max - values[0], y_max - values[-1]
+    run_start = run_starts(values)
+    held = [0] * n
+    for b in sorted(set(run_start)):
+        e = b
+        while e + 1 < n and run_start[e + 1] == b:
+            e += 1
+        q = e if rising_queries else b
+        top = y_max - values[b]
+        h = top if b in (0, n - 1) else min(max(kappa_prime * (weight[b] - 1) - 2, floor + q - b), top)
+        for x in range(b, q):
+            held[x] = 1
+        held[q] = h - (q - b)
     starts = [0]
-    for h in heights:
+    for h in held:
         starts.append(starts[-1] + h)
     ladder_data = [0] * starts[n]
     base = [0] * n
@@ -300,6 +344,87 @@ class TestBlockedFill:
             assert peak - kept < 5 * 8 * n
 
 
+def rising(values):
+    """The positions reached by a rising step, n - 1 excepted."""
+    v = np.asarray(values, dtype=np.int64)
+    return np.flatnonzero(v[1:-1] > v[:-2]) + 1
+
+
+def at_the_limits(values):
+    """``values`` as int64 arrays, as they are and shifted to touch each
+    int64 limit."""
+    lo, hi = min(values), max(values)
+    return [np.array([v + shift for v in values], dtype=np.int64) for shift in (0, -(2**63) - lo, 2**63 - 1 - hi)]
+
+
+def climb_answers(values, climbs):
+    """For each x, the first position at or after x at each height
+    ``values[x] + t``, t in ``climbs``: one right-to-left sweep keeping
+    the first position of each value, the answer of a 1-difference
+    sequence to a target above ``values[x]``."""
+    n = len(values)
+    first = {}
+    answers = [None] * n
+    for x in range(n - 1, -1, -1):
+        first[values[x]] = x
+        answers[x] = [first.get(values[x] + t, n) for t in climbs]
+    return answers
+
+
+def staircase(run, count):
+    """``count`` runs of ``run`` rising steps, each after one falling step."""
+    values = [0]
+    for _ in range(count):
+        values.append(values[-1] - 1)
+        values += range(values[-1] + 1, values[-1] + 1 + run)
+    return values
+
+
+class TestRunLadders:
+    """Ladders go at run starts; a position on a rising step reads the
+    ladder of its run's start."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(one_diff_lists(max_n=80))
+    def test_no_valley_lies_on_a_rising_step(self, values):
+        for v in at_the_limits(values):
+            weight = np.bincount(compute_valleys(memoryview(v))[: len(v)], minlength=len(v))
+            assert not weight[rising(v)].any()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_no_valley_of_a_tour_lies_on_a_rising_step(self, seed):
+        tree = parse_parent_array(" ".join(map(str, random_parent_array(400, seed, 0.2 * seed))))
+        values = -euler_tour(tree).depths
+        weight = np.bincount(compute_valleys(values.tolist())[: len(values)], minlength=len(values))
+        assert not weight[rising(values)].any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(one_diff_lists(max_n=80), st.sampled_from([3, 4, 5, 9, 30, 2**62]))
+    def test_a_rising_position_reads_its_runs_ladder(self, values, kappa):
+        b = run_starts(values)
+        for v in at_the_limits(values):
+            own = OneLevelFL(v, kappa).own.tolist()
+            assert own == [own[b[x]] for x in range(len(values))]
+
+    @pytest.mark.parametrize("kappa", [3, 5, 9, 30, 2**62])
+    @pytest.mark.parametrize("shape", ["runs-of-5000", "increasing-12293"])
+    def test_runs_across_blocks_match_the_oracle(self, shape, kappa):
+        # rising runs that cross block edges: from every position, every
+        # climb up to kappa + 1, the short ones read from the run's ladder,
+        # and three taller ones
+        values = staircase(5000, 3) if shape == "runs-of-5000" else list(range(12293))
+        assert len(values) > 3 * BLOCK
+        s = OneLevelFL(values, kappa)
+        own, ladder_data, jump = reference_build(values, kappa)
+        assert (s.own.tolist(), s.ladder_data.tolist(), s.jump.tolist()) == (own, ladder_data, jump)
+        climbs = list(range(1, min(kappa + 1, 32) + 1)) + [kappa + 2, 3 * kappa, 4999]
+        want = climb_answers(values, climbs)
+        for x in range(0, len(values), 97):
+            assert want[x] == [naive_fl(values, x, values[x] + t) for t in climbs]
+        for x in range(len(values)):
+            assert [s.query(x, values[x] + t) for t in climbs] == want[x], x
+
+
 class TestPositionWidth:
     """Positions and offsets are int32 short of 2^31, filled in int64."""
 
@@ -324,9 +449,10 @@ class TestPositionWidth:
             assert got.tobytes() == np.array(want, dtype=np.int32).tobytes()
 
     def test_tall_needles_past_int32(self):
-        # ladders 0 and 1 hold n - 3 and n - 2 entries, nearly all searched:
-        # the needle of entry r adds (r + 1) * BLOCK to a key, by way of
-        # BLOCK times the entry's rank in the block, both past 2^31 here
+        # ladder 0 holds n - 3 entries, nearly all searched: the needle of
+        # entry r adds (r + 1) * BLOCK to a key, by way of BLOCK times the
+        # entry's rank in the block, both past 2^31 here.  Ladder 1, of the
+        # run 1 .. n - 2, holds n - 2 entries, one at each position of it
         n = 2**31 // BLOCK + BLOCK
         values = np.arange(-1, n - 1, dtype=np.int64)
         values[0] = 1
@@ -334,7 +460,7 @@ class TestPositionWidth:
         starts = ladder_starts(s, values)
         assert np.asarray(s.ladder_data).dtype == np.int32
         assert np.array_equal(s.ladder_data[starts[0] : starts[1]], np.arange(3, n))
-        assert np.array_equal(s.ladder_data[starts[1] : starts[2]], np.arange(2, n))
+        assert np.array_equal(s.ladder_data[starts[1] : starts[n - 1]], np.arange(2, n))
 
 
 class TestQuery:
@@ -442,10 +568,10 @@ class TestFindSmaller:
 class TestSpaceAndStats:
     def test_example_report(self):
         r = OneLevelFL(EXAMPLE, 5).space_report()
-        assert r.total_ladder_entries == 5
-        assert r.interior_ladder_entries == 4
+        assert r.total_ladder_entries == 4
+        assert r.interior_ladder_entries == 3
         assert r.interior_bound == 48
-        assert r.words == 3 * 6 + 5
+        assert r.words == 3 * 6 + 4
 
     @settings(max_examples=150, deadline=None)
     @given(one_diff_lists(max_n=80), st.integers(3, 7))
@@ -467,21 +593,22 @@ class TestSpaceAndStats:
     def test_resident_bytes_are_the_arrays_nbytes(self):
         s = OneLevelFL(EXAMPLE, 5)
         r = s.space_report()
-        # 6 heights, 6 jumps, 6 own offsets and 5 ladder entries in int32
-        assert s.resident_bytes() == 4 * (6 + 6 + 6 + 5) == 92
-        assert s.entry_count() == r.words == 6 + 6 + 6 + 5
+        # 6 heights, 6 jumps, 6 own offsets and 4 ladder entries in int32
+        assert s.resident_bytes() == 4 * (6 + 6 + 6 + 4) == 88
+        assert s.entry_count() == r.words == 6 + 6 + 6 + 4
         # kappa 2^62 makes every ladder full height, as tall as at kappa 5 here
-        assert OneLevelFL(EXAMPLE, 2**62).resident_bytes() == 92
+        assert OneLevelFL(EXAMPLE, 2**62).resident_bytes() == 88
 
     def test_heights_take_the_width_of_n(self, monkeypatch):
         # under a width rule of int8 below 2^7, the 100 heights of this run
-        # fit int8, but its offsets pass 2^7 and take int64
+        # fit int8, but its offsets' bound, ladder entries plus the spread
+        # 99, passes 2^7, so they take int64
         values = list(range(100))
         want = OneLevelFL(values, 5), DoublingFL(values)
         monkeypatch.setattr(core, "position_dtype", lambda largest: np.int8 if largest < 2**7 else np.int64)
         s, d = OneLevelFL(values, 5), DoublingFL(values)
         total = len(s.ladder_data)
-        assert total >= 2**7
+        assert total < 2**7 <= total + 99
         assert s.resident_bytes() == 1 * 100 + 8 * (100 + 100 + total)
         assert d.resident_bytes() == 1 * 100 + d.table.nbytes
         xs, ys = full_grid(values)

@@ -33,6 +33,8 @@ from findlarger.formats import write_parens
 from findlarger.gen import random_parent_array
 from findlarger.oracle import naive_la
 
+from test_core import reference_build
+
 
 def tree_from(parent):
     return parse_parent_array(" ".join(map(str, parent)))
@@ -596,19 +598,6 @@ def test_first_visits_and_the_last_stop_hold_every_valley(parent):
     assert set(compute_valleys((-tour.depths).tolist()).tolist()) <= kept
 
 
-def test_a_start_mask_missing_a_valley_is_refused():
-    values = -euler_tour(Tree.from_parents(caterpillar(4, 2))).depths
-    valley = compute_valleys(values.tolist())
-    starts_at = np.zeros(len(values), dtype=bool)
-    starts_at[valley] = True
-    _ladders(values, 5, int(values.min()), 0, starts_at)
-    for missing in sorted(set(valley.tolist())):
-        holed = starts_at.copy()
-        holed[missing] = False
-        with pytest.raises(ValueError, match=f"valley {missing} of position"):
-            _ladders(values, 5, int(values.min()), 0, holed)
-
-
 def jump_bases(values, valley, kappa):
     """The position each jump of the find-larger build over ``values``
     lands on, by a per-position right-to-left loop over Python integers."""
@@ -626,33 +615,58 @@ def jump_bases(values, valley, kappa):
 
 @pytest.mark.parametrize("kappa", [3, 5, 2**62])
 def test_masked_ladders_are_the_full_ones_less_the_dropped(kappa):
-    # the negated depths of a tour of more than 3 blocks, masked as
-    # LevelAncestorIndex masks them: first visits and the last stop
+    # the negated depths of a tour of more than 3 blocks, built as
+    # LevelAncestorIndex builds them, with queries at first visits only,
+    # against the build with queries at every stop: the ladders sit at the
+    # same run starts, the first visits and the last stop, and each is the
+    # full one cut to its own height
     tour = euler_tour(Tree.from_parents(random_parent_array(6500, 21, 0.5)))
     values = -tour.depths
     n = len(values)
     assert n > 3 * BLOCK
     valley = compute_valleys(values.tolist())
-    starts_at = np.zeros(n, dtype=bool)
-    starts_at[tour.first_pos] = True
-    starts_at[-1] = True
     y_min = int(values.min())
     full_own, full_data, full_jump, _ = _ladders(values, kappa, y_min, 0)
-    own, ladder_data, jump, _ = _ladders(values, kappa, y_min, 0, starts_at)
+    own, ladder_data, jump, _ = _ladders(values, kappa, y_min, 0, rising_queries=False)
 
     # own[x] = start(x) + (y_max - values[x]) - 1, with y_max = 0
+    lead = np.append(np.sort(tour.first_pos), n - 1)
     full_starts = np.append(full_own + values + 1, len(full_data))
-    full_heights = full_starts[1:] - full_starts[:-1]
-    want_starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(full_heights * starts_at, out=want_starts[1:])
-    want_own = want_starts[:n] - values - 1
-    want_data = full_data[np.repeat(starts_at, full_heights)]
+    starts = np.append(own + values + 1, len(ladder_data))
+    ends = np.append(lead[1:], n)
+    full_heights = full_starts[ends] - full_starts[lead]
+    heights = starts[ends] - starts[lead]
+    assert (heights <= full_heights).all()
+    # at kappa 2^62 every ladder reaches the top in both builds
+    assert (heights < full_heights).any() == (kappa < 2**62)
+    assert heights[-1] == full_heights[-1] == 0  # the last stop is the root
+    want_data = np.concatenate([full_data[a : a + h] for a, h in zip(full_starts[lead], heights)])
+    want_starts = np.cumsum(np.append(0, heights))[:-1]
     # a jump is its base's own offset, so it moves down by the entries
-    # dropped before its base
+    # dropped before its base, a run start
     base = np.array(jump_bases(values.tolist(), valley.tolist(), kappa))
+    assert np.isin(base, lead).all()
     assert (full_jump == full_own[base]).all()
-    want_jump = full_jump - (full_own - want_own)[base]
-    assert 0 < len(ladder_data) < len(full_data)
-    for got, want in ((own, want_own), (ladder_data, want_data), (jump, want_jump)):
+    want_jump = full_jump - (full_own - own)[base]
+    assert 0 < len(ladder_data) <= len(full_data)
+    for got, want in (
+        (own[lead], want_starts - values[lead] - 1),
+        (ladder_data, want_data),
+        (jump, want_jump),
+    ):
         assert got.dtype == np.int32
         assert got.tobytes() == want.astype(np.int32).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trees_build_as_the_per_position_loop(seed):
+    # the build LevelAncestorIndex runs, at the run starts it keeps,
+    # against the per-position loop of the sequence tests
+    values = (-euler_tour(Tree.from_parents(random_parent_array(2000, seed, 0.3 * seed))).depths).tolist()
+    lead = [x for x in range(len(values)) if x in (0, len(values) - 1) or values[x] <= values[x - 1]]
+    for kappa in (3, 5, 2**62):
+        own, ladder_data, jump = _ladders(np.array(values), kappa, min(values), 0, rising_queries=False)[:3]
+        want_own, want_data, want_jump = reference_build(values, kappa, rising_queries=False)
+        assert own[lead].tolist() == [want_own[x] for x in lead]
+        assert ladder_data.tolist() == want_data
+        assert jump.tolist() == want_jump

@@ -278,13 +278,17 @@ class TestCli:
         out = capsys.readouterr().out
         # the jumps land on ladders 0 5 5 5 5 5, each stored as
         # own[base] = start(base) + (y_max - values[base]) - 1
-        assert "JumpOffset: 0 4 4 4 4 4" in out
-        assert "LadderStart: 0 1 3 4 4 5" in out
-        assert "LadderHeight: 1 2 1 0 1 0" in out
+        assert "JumpOffset: 0 3 3 3 3 3" in out
+        # 2 and 3 rise, and share the ladder of their run's start 1
+        assert "RunStart: 0 1 1 1 4 5" in out
+        assert "LadderStart: 0 1 - - 3 4" in out
+        assert "LadderHeight: 1 2 - - 1 0" in out
         assert "Valley: 0 1 1 1 4 4 5" in out
         assert "Weight: 1 3 0 0 2 0" in out
         assert "Ladder[1]: 2 3" in out
+        assert "Ladder[2]" not in out
         assert "kappa_prime: 4" in out
+        assert "total_ladder_entries: 4" in out
 
     def test_inspect_refuses_large_input(self, tmp_path):
         f = tmp_path / "big.txt"
