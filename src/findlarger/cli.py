@@ -113,23 +113,16 @@ def cmd_inspect(args) -> int:
     row("Valley", valley)
     row("Weight", weight)
     row("JumpOffset", s.jump)
-    # ladders sit at run starts: 0, n - 1 and where the values do not rise;
-    # the other positions of a run read its start's ladder ("-" below)
-    lead = np.ones(s.n, dtype=bool)
-    lead[1:-1] = seq[1:-1] <= seq[:-2]
-    runs = np.flatnonzero(lead)
-    row("RunStart", runs[np.cumsum(lead) - 1])
-    # own[b] = start(b) + (y_max - values[b]) - 1, and the last ladder ends the data
-    starts = np.append(np.asarray(s.own)[runs] - (s.y_max - seq[runs]) + 1, len(s.ladder_data))
-    heights = np.diff(starts)
-    shown = np.full(s.n, "-", dtype=object)
-    shown[runs] = starts[:-1]
-    row("LadderStart", shown)
-    shown[runs] = heights
-    row("LadderHeight", shown)
-    for b, start, height in zip(runs, starts, heights):
-        if height:
-            row(f"Ladder[{b}]", s.ladder_data[start : start + height])
+    row("OwnOffset", s.own)
+    # the positions that store one own offset read one ladder, whose first
+    # entry answers the target one above the lowest of their values; the
+    # ladders lie in that order, the last up to the end of the data
+    shared = {}
+    for x, o in enumerate(s.own):
+        shared.setdefault(o, []).append(x)
+    firsts = sorted((o + min(values[x] for x in xs) + 1 - s.y_max, xs) for o, xs in shared.items())
+    for (start, xs), (end, _) in zip(firsts, firsts[1:] + [(len(s.ladder_data), None)]):
+        row(f"Ladder[{' '.join(map(str, xs))}]", s.ladder_data[start:end])
     print(f"total_ladder_entries: {report.total_ladder_entries}")
     print(f"interior_ladder_entries: {report.interior_ladder_entries}")
     print(f"interior_bound: {report.interior_bound}")

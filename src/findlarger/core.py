@@ -16,9 +16,11 @@ keeps each position's height below the largest value y_max, which on a
 positions and offsets, take the width :func:`position_dtype` picks from
 the largest value they must hold: int32 below 2^31, int64 otherwise.
 The ladders of both the find-larger index and the level-ancestor index
-are laid out by one function, ``_ladders``, at the starts of rising runs
-only: an offset o into the shared ladder array, anchored at y_max, holds
-the entry for a target y at ``o + y - y_max``.
+are laid out by one function, ``_ladders``, at descent ends only: the
+run starts whose next step rises, and n - 1.  Every position reads the
+ladder of the end of its descent, or of the start of its rising run,
+through an offset o into the shared ladder array, anchored at y_max,
+which holds the entry for a target y at ``o + y - y_max``.
 """
 
 from __future__ import annotations
@@ -77,7 +79,10 @@ for _c in range(_BITS):
 del _c
 # the entry index of a chained ladder entry
 _ROW = np.arange(CHAIN, dtype=np.int64)
-for _table in (_LOCAL, _LOWBIT, _CLASS, _ROW):
+# x - j for x in [j, j + CHUNK], for the backward fill of a piece's
+# descents in _ladders, narrower than _LOCAL
+_SPAN = np.arange(CHUNK + 1, dtype=np.int32)
+for _table in (_LOCAL, _LOWBIT, _CLASS, _ROW, _SPAN):
     _table.flags.writeable = False
 del _table
 
@@ -274,7 +279,7 @@ class SpaceReport:
     """Exact entry counts for one built structure.
 
     ``interior_ladder_entries`` excludes the two endpoint ladders, that
-    of the run of 0 and that of n - 1, which reach full height; the
+    of 0's descent end and that of n - 1, which reach full height; the
     remaining ladders obey
     ``interior_ladder_entries <= interior_bound = (kappa - 1 + kappa_prime) * n``.
     ``words`` counts every stored entry: the n heights, the n jumps, the
@@ -303,54 +308,109 @@ def _heights(data: np.ndarray, y_max: int) -> np.ndarray:
     return np.subtract(y_max, data, out=np.empty(n, dtype=position_dtype(n)))
 
 
-def _hold(data: np.ndarray, heights: np.ndarray, floor: int, y_max: int, rising_queries: bool) -> None:
-    """Turn ``heights``, the weight term kappa_prime * (weight - 1) - 2
-    of each position, into the number of ladder entries it holds, in
-    place (see :func:`_ladders`).
+def _hold(
+    data: np.ndarray,
+    heights: np.ndarray,
+    up: np.ndarray,
+    kappa_prime: int,
+    floor: int,
+    y_max: int,
+    rising_queries: bool,
+) -> int:
+    """Turn ``heights``, the weight of each position, into the number of
+    ladder entries it holds, in place (see :func:`_ladders`), and set
+    ``up[q]``, for the last holder q of each ladder, to the number of q's
+    entries at levels up to one above the top of the ladder's descent,
+    which :func:`_ladders` gathers from ``up`` and :func:`_fill` need not
+    search.  It returns the largest of these numbers.
 
-    A run b..e's ladder holds b's weight term, but at least
-    floor + q - b and at most top(b) = y_max - data[b]; b .. q - 1 hold
-    one entry each and q the rest.  The ladders of 0's run and of n - 1
-    reach the top.  The runs are found in pieces of BLOCK from the
-    right, so that the temporaries stay at the size of a piece.
+    A descent end z's ladder holds its weight term
+    kappa_prime * (weight - 1) - 2, but at least floor + max(q - z, drop)
+    and at most top(z) = y_max - data[z], for drop = data[s] - data[z]
+    below the top s of z's descent; z .. q - 1 hold one entry each and q
+    the rest.  The ladders of 0's descent end and of n - 1 reach the top.
+    The positions before n - 1 are read in pieces of BLOCK from the
+    right, so that the temporaries stay at the size of a piece, and
+    within a piece the turns of the steps, where they turn to rise at a
+    descent end and to fall at a peak, alternate.  A peak is the top of
+    the descent after it and ends the run before it.  A descent can
+    cross a piece edge: the ladder of a piece's first descent end is
+    finished at the last peak of a piece further left, and that of 0's
+    descent end after the last piece.
     """
     n = len(data)
-    # above every top plus every run's length, as no top reaches n: the
-    # ladders of 0's run and of n - 1 are cut to the top
-    heights[0] = heights[-1] = 2 * n
-    after = n  # the first run start right of the piece
-    for j in range(n - 1 - (n - 1) % BLOCK, -1, -BLOCK):
-        k = min(j + BLOCK, n)
-        piece = data[j:k]
-        # the run starts, then one past the piece, which stands for after
-        lead = np.empty(k - j + 1, dtype=bool)
-        np.less_equal(piece[1:], piece[:-1], out=lead[1:-1])
-        lead[0] = j == 0 or data[j] <= data[j - 1]
-        lead[-1] = True
-        if k == n:
-            lead[-2] = True
-        runs = lead.nonzero()[0]
-        runs += j
-        runs[-1] = after
-        b = runs[:-1]
-        h = heights[b]  # the weight terms
-        if rising_queries:
-            # q = e holds the ladder less the q - b entries of b .. q - 1:
-            # max(weight term - (q - b), floor), at most
-            # top(b) - (q - b) = top(q)
-            q = runs[1:] - 1
-            h += b
-            h -= q
-        else:
-            q = b
+    # n - 1 ends a descent of its own, whose ladder reaches the top, and a
+    # run rising into it ends at n - 2
+    last = int(data[-1])
+    heights[-1] = y_max - last
+    up[n - 1] = 0
+    waiting = n - 1 if n == 1 or last <= data[-2] else -1  # q of the first descent end right of the piece
+    peak = n - 2  # the first peak right of the piece
+    deep = 0
+    for j in range(n - 2 - (n - 2) % BLOCK, -1, -BLOCK):
+        k = min(j + BLOCK, n - 1)
+        # rise[i]: whether the step after j - 1 + i rises; the step into 0
+        # falls, as from a top above every value
+        rise = np.empty(k - j + 1, dtype=bool)
+        rise[0] = j and data[j] > data[j - 1]
+        np.greater(data[j + 1 : k + 1], data[j:k], out=rise[1:])
+        turn = (rise[1:] != rise[:-1]).nonzero()[0]
+        if len(turn):
+            f = 0 if rise[turn[0] + 1] else 1  # whether a peak turns first
+            turn += j
+            ends = turn[f::2]
+            h = heights[ends]  # the weights
         # one entry for each position of a run before q, the rest at q
-        heights[j:k] = rising_queries
+        heights[j:k] = rise[1:] if rising_queries else 0
+        if not len(turn):
+            continue
+        if waiting >= 0:  # the descent of the first descent end right of here
+            over = int(data[turn[-1]]) - int(data[waiting])
+            heights[waiting] = min(y_max - int(data[waiting]), max(int(heights[waiting]), floor + over))
+            up[waiting] = over + 1
+            deep = max(deep, over + 1)
+        # the top of each descent, the peak before its end; that of the
+        # first descent end lies further left where f is 0
+        tops = turn[1 - f :: 2][: len(ends) - 1 + f]
+        q = ends
+        if rising_queries:  # the peak after each, or the first right of here
+            q = turn[1 + f :: 2]
+            if len(q) < len(ends):
+                q = np.concatenate((q, [peak]))
+        level = data[q]
+        # data[s] - data[q] = drop - (q - z) for the top s of each descent
+        over = np.empty_like(level)
+        if not f:
+            over[0] = 0
+        np.subtract(data[tops], level[1 - f :], out=over[1 - f :])
+        waiting = -1 if f else int(q[0])
+        if f:
+            peak = int(turn[0])
+            if not len(ends):
+                continue
+        # q = e holds the ladder less the q - z entries of z .. q - 1:
+        # max(weight term - (q - z), floor + max(drop - (q - z), 0)), at
+        # most top(z) - (q - z) = top(q)
+        h *= kappa_prime
+        h -= kappa_prime + 2
+        if rising_queries:
+            h += ends
+            h -= q
         np.maximum(h, floor, out=h)
-        top = data[q]
-        np.subtract(y_max, top, out=top)
-        np.minimum(h, top, out=h)
+        over += floor
+        np.maximum(h, over, out=h)
+        over -= floor - 1
+        up[q] = over
+        deep = max(deep, int(over.max()))
+        np.subtract(y_max, level, out=level)
+        np.minimum(h, level, out=h)
         heights[q] = h
-        after = int(runs[0])
+    # 0's descent end, under a top above every value: its ladder reaches
+    # the top, and the gather writes its entries up to data[0] + 1
+    level = int(data[waiting])
+    heights[waiting] = y_max - level
+    up[waiting] = gathered = int(data[0]) - level + 1
+    return max(deep, gathered)
 
 
 def _ladders(
@@ -379,68 +439,104 @@ def _ladders(
     arrays take the width :func:`position_dtype` picks for the larger of
     that bound and n.
 
-    Ladders go at run starts only.  A run b..e of rising steps starts
-    where the data do not rise: at 0, wherever ``data[b] <= data[b - 1]``,
-    and at n - 1, which always starts a run of its own.  Every valley is
-    a run start.  A position x of the run answers every target above
-    ``data[x]`` as b does, so it reads b's ladder, whose entry j answers
-    ``data[b] + j + 1``, from entry x - b on: own[x] = own[b].  The
-    positions b .. q - 1, for q the run's last query start (e, or b if
-    ``rising_queries`` is false), hold one entry each, the one for their
-    own level, and q holds the rest, so that start(x) = start(b) + x - b
-    and the fill writes each position's entries as it would those of a
-    ladder of its own.  The run's ladder holds
-    ``kappa_prime * (weight(b) - 1) - 2`` entries, but at least
-    ``min(kappa - 1, y_max - y_min) + q - b``, and at most the height of
-    b below the top, which the ladders of 0's run and of n - 1 reach.
+    Ladders go at descent ends only.  A run of rising steps starts where
+    the data do not rise: at 0, wherever ``data[b] <= data[b - 1]``, and
+    at n - 1, which always starts a run of its own.  A descent end z is a
+    run start whose next step rises, or n - 1; its descent s..z is the
+    stretch before it whose steps do not rise, from the end s of the run
+    before it (or from 0), and its run is z..e.  Every valley is a
+    descent end.  On a non-rising step x -> x + 1 every target above
+    ``data[x]`` has the same answer from x as from x + 1, and on a rising
+    run every target above ``data[x]`` the same from x as from z, so the
+    positions of the descent and of the run (but e, which tops the next
+    descent) read z's ladder, whose entry j answers ``data[z] + j + 1``:
+    own[x] = own[z].  The positions z .. q - 1, for q the run's last query
+    start (e, or z if ``rising_queries`` is false), hold one entry each,
+    the one for their own level, and q holds the rest, so that
+    start(x) = start(z) + x - z and the fill writes each position's
+    entries as it would those of a ladder of its own; the positions of
+    the descent hold none.  z's ladder holds
+    ``kappa_prime * (weight(z) - 1) - 2`` entries, but at least
+    ``min(kappa - 1, y_max - y_min) + max(q - z, data[s] - data[z])``, and
+    at most the height of z below the top, which the ladders of 0's
+    descent end and of n - 1 reach (:func:`_hold`).
 
     ``rising_queries`` says whether queries start on rising steps.
     ``LevelAncestorIndex`` starts them at first visits only, which are
-    run starts, so its runs' ladders need not cover the return stops.
+    the positions of descents and their ends, so its ladders need not
+    cover the return stops after a descent end.
 
     The heights and ladder starts are summed from the valleys here, with
     up, the next position one level higher, as a temporary of n + 1
     positions for the fill; the n + 1 starts then become the n entries
-    of ``own`` in place, and only then the landings become offsets: a
-    landing's valley can lie left of the piece that jumps to it.
+    of ``own`` in place.  A position x of a descent, one level below the
+    top s or lower, writes the entry for ``data[x] + 1`` of its end's
+    ladder, ``up[x]``: so the entries up to one above s are a gather
+    from up, which the fill does not search.  Only then the landings
+    become offsets: a landing's valley can lie left of the piece that
+    jumps to it.
     """
     n = len(data)
     valley, pushes, pops = _sweep_valleys(memoryview(data))
     kappa_prime = _kappa_prime(kappa)
 
-    # what each position holds, then the ladder starts summed from it, in
-    # place, in int64: temporary arrays of length n would raise the peak
-    # memory.  No height exceeds y_max - y_min, so the floor is cut to it,
-    # which keeps any kappa within int64.
+    # each position's weight, then what it holds, in place, in int64:
+    # temporary arrays of length n would raise the peak memory.  No height
+    # exceeds y_max - y_min, so the floor is cut to it, which keeps any
+    # kappa within int64.
     heights = np.bincount(valley[:n], minlength=n)
-    heights *= kappa_prime
-    heights -= kappa_prime + 2
-    _hold(data, heights, min(kappa - 1, y_max - y_min), y_max, rising_queries)
-    heights.cumsum(out=heights)
+    up = np.empty(n + 1, dtype=position_dtype(n))
+    up[n] = n
+    deep = _hold(data, heights, up, kappa_prime, min(kappa - 1, y_max - y_min), y_max, rising_queries)
     # offsets and positions take the width of the larger of n and the
-    # offsets' bound, read from the int64 sum before the arrays are allocated
-    total = int(heights[-1])
+    # offsets' bound, read from the int64 total before the arrays are
+    # allocated; the ladder starts are summed in that width, which holds
+    # every partial sum
+    total = int(heights.sum())
     width = position_dtype(max(n, total + y_max - y_min))
     starts = np.empty(n + 1, dtype=width)
     starts[0] = 0
-    starts[1:] = heights
+    np.cumsum(heights, dtype=width, out=starts[1:])
     del heights
     ladder_data = np.empty(total, dtype=width)
     jump = np.empty(n, dtype=width)  # every entry is written below
-    up = np.empty(n + 1, dtype=position_dtype(n))
-    up[n] = n
     _fill(data, y_min, y_max, up, (kappa, starts, ladder_data, jump))
     # the last start only ended the last ladder: cut it off in place (no
-    # view of the buffer is left, so the check for one is skipped), then
-    # own[x] = start(x) + (y_max - data[x]) - 1 and jump[x] = own[valley[p]]
-    # for its landing p, in place and in pieces of BLOCK, so that their
-    # temporaries stay below the fill's
+    # view of the buffer is left, so the check for one is skipped).  Then,
+    # in pieces of CHUNK from the right, as the fill searches its tall
+    # entries, so that their temporaries stay at the fill's:
+    # own[x] = start(x) + (y_max - data[x]) - 1; a position x of a descent,
+    # whose next step does not rise, takes own[z] of its end z, the first
+    # position after it whose next step rises (n - 1 included), whose own
+    # is final, as it lies in this piece or one already done; and x below
+    # the top writes the entry for data[x] + 1 of z's ladder, up[x], at
+    # own[z] + data[x] + 1 - y_max, where the fill left entries unsearched.
     own = starts
     own.resize(n, refcheck=False)
-    for j in range(0, n, BLOCK):
-        own[j : j + BLOCK] -= data[j : j + BLOCK] - y_max + 1
-    for j in range(0, n, BLOCK):
-        jump[j : j + BLOCK] = own[valley[jump[j : j + BLOCK]]]
+    for j in range(n - 1 - (n - 1) % CHUNK, -1, -CHUNK):
+        k = min(j + CHUNK, n)
+        own[j:k] -= data[j:k] - y_max + 1
+        e = min(k, n - 1)  # n - 1 is the last descent end
+        after, here = data[j + 1 : e + 1], data[j:e]
+        # x - j for each x, or e - j where the next step does not rise, then
+        # the least at or after it
+        end = np.multiply(after <= here, _SPAN[e - j], dtype=_SPAN.dtype)
+        np.maximum(end, _SPAN[: e - j], out=end)
+        np.minimum.accumulate(end[::-1], out=end[::-1])
+        own[j:e] = own[j : e + 1].take(end)
+        if deep > min(kappa - 1, CHAIN):  # else the fill chains them all
+            # one position of each level of a descent writes, the last,
+            # below the top: y_max - data[x] - 1 >= 0
+            below = np.subtract(y_max, here, out=np.empty(e - j, dtype=width))
+            below -= 1
+            x = ((after < here) & (below >= 0)).nonzero()[0]
+            slot = own[j:e].take(x)
+            slot -= below.take(x)
+            ladder_data[slot] = up[j:e].take(x)
+    # only then the landings become offsets: a landing's valley can lie
+    # left of the piece that jumps to it
+    for j in range(0, n, CHUNK):
+        jump[j : j + CHUNK] = own[valley[jump[j : j + CHUNK]]]
     return own, ladder_data, jump, BuildStats(pushes, pops, total)
 
 
@@ -498,10 +594,13 @@ def _fill(
     the first key of each of its levels, the carry.  On a 1-difference
     sequence entry r + 1 of a ladder is up of entry r, so the first
     ``rows`` entries of each ladder, at most kappa - 1 and ``CHAIN``,
-    are chained through up; only the tall entries past them are
-    searched, in pieces of at most ``CHUNK``, one search a piece.  The
-    carry is updated after both searches.  Temporaries stay at the size
-    of one block or piece, and the block's keys stay in cache.
+    are chained through up.  Of the tall entries past them, those below
+    ``up[x]`` are left to the descent gather of :func:`_ladders`, as
+    ``up[x]`` holds their count (:func:`_hold`) until this block writes
+    it, and only the rest are searched, in pieces of at most ``CHUNK``,
+    one search a piece.  The carry is updated after both searches.
+    Temporaries stay at the size of one block or piece, and the block's
+    keys stay in cache.
     """
     n = len(data)
     size = y_max - y_min + 2
@@ -549,29 +648,36 @@ def _fill(
             jump_needles.take(by_class, out=needles[m : 2 * m])
         needles[m + jumps :] = carry
         answers = _first_at(sorted_keys, needles, a, next_at)
-        up[a:b][local] = answers[:m]
         if ladders is not None:
-            jump[a:b][by_class] = answers[m : 2 * m]
             # in int64: the needle of a tall entry r adds (r + 1) * w to a
             # key, by way of w times the entry's rank in the block, and
             # either passes 2^31 from 2^19 on
             st = starts[a : b + 1].astype(np.int64)
             heights = st[1:] - st[:-1]
-            # the entries past the chained ones are searched.  The ladders
-            # x that hold them are ranked through the block: ladder x[i]
-            # holds ranks tall[i] to tall[i + 1], and rank q is its entry
-            # q - tall[i] + rows
+            # the entries from low = max(rows, up[x]) on are searched, read
+            # before up[a:b] is written.  The ladders x that hold them are
+            # ranked through the block: ladder x[i] holds ranks tall[i] to
+            # tall[i + 1], and rank q is its entry q - tall[i] + low[i]
             x = (heights > rows).nonzero()[0]
             if len(x):
+                low = up[a:b].take(x)
+        up[a:b][local] = answers[:m]
+        if ladders is not None:
+            jump[a:b][by_class] = answers[m : 2 * m]
+            if len(x):
+                np.maximum(low, rows, out=low)
+                count = heights.take(x)
+                count -= low
+                np.maximum(count, 0, out=count)
                 tall = np.zeros(len(x) + 1, dtype=np.int64)
-                np.subtract(heights[x], rows).cumsum(out=tall[1:])
+                count.cumsum(out=tall[1:])
                 for q0 in range(0, int(tall[-1]), CHUNK):
                     q1 = min(q0 + CHUNK, int(tall[-1]))
                     # entry r of ladder x sits at st[x] + r and answers
                     # level + r + 1, so its needle is key_x + (r + 1) * w
                     cut = np.minimum(np.maximum(tall, q0), q1)
                     counts = cut[1:] - cut[:-1]
-                    r0 = np.subtract(rows, tall[:-1])  # r - q for the ranks q of ladder x[i]
+                    r0 = np.subtract(low, tall[:-1])  # r - q for the ranks q of ladder x[i]
                     dst = (st[x] + r0).repeat(counts)
                     dst += np.arange(q0, q1)
                     r0 += 1
@@ -608,12 +714,13 @@ class OneLevelFL:
     All ladders share one array, ``ladder_data``, and are named by
     offsets anchored at ``y_max``: the ladder an offset o names holds its
     entry for a target y at ``ladder_data[o + y - y_max]``, one read.
-    Ladders go at run starts, where the values do not rise, and at
-    n - 1: a position x on a rising step answers every target above
-    ``values[x]`` as the start b of its rising run does, so ``own[x]``
-    is ``own[b]``, and b's ladder is tall enough for the short climbs of
-    every position of its run.  ``jump[x]`` is ``own[p]`` for the valley
-    p that x jumps to, itself a run start.  The offsets lie in
+    Ladders go at descent ends: the run starts whose next step rises,
+    and n - 1.  A position x on a non-rising step answers every target
+    above ``values[x]`` as x + 1 does, and one on a rising run as the run
+    start z does, so ``own[x]`` is ``own[z]`` for the end z of x's descent
+    or the start of its run, and z's ladder is tall enough for the short
+    climbs of every position of both.  ``jump[x]`` is ``own[p]`` for the
+    valley p that x jumps to, itself a descent end.  The offsets lie in
     [-1, len(ladder_data) + y_max - y_min).  ``own``, ``jump`` and
     ``ladder_data`` are memoryviews of ndarrays, cheaper to read one
     entry at a time; all three take the width :func:`position_dtype`
@@ -720,9 +827,12 @@ class OneLevelFL:
         n = self.n
         height = self._height
         total = len(self.ladder_data)
-        # all but the endpoint ladders, which reach the top: the ladder of
-        # 0's run and that of n - 1, both empty when n = 1
-        interior = total - height[0] - height[n - 1]
+        # all but the endpoint ladders, which reach the top: that of 0's
+        # descent end z0 and that of n - 1, one ladder when z0 = n - 1.
+        # z0's is the first ladder, as no position before z0 holds an
+        # entry, so own[0] = own[z0] = height[z0] - 1
+        own = self.own
+        interior = total - (own[0] + 1) - (height[n - 1] if own[n - 1] != own[0] else 0)
         # heights + jump + own + ladder data
         words = 3 * n + total
         return SpaceReport(

@@ -471,16 +471,19 @@ class LevelAncestorIndex:
     ladder that the aligned jump entry points into.
 
     The negated depths rise exactly at the n - 1 return stops, so the
-    first visits are the run starts, where ``_ladders`` puts the ladders
-    (the last stop, the root, gets an empty one).  Queries start only at
-    first visits, so the build runs with ``rising_queries=False``: a run's
-    ladder need not cover the return stops after its start, and they get
+    descent ends, where ``_ladders`` puts the ladders, are the leaves and
+    the last stop (the root, which gets an empty one): a chain of first
+    visits down to a leaf reads the leaf's ladder, which also covers the
+    fall to the leaf from the stop before the chain.  Queries start only
+    at first visits, so the build runs with ``rising_queries=False``: a
+    leaf's ladder need not cover the return stops after it, and they get
     no entries of their own.
 
     It keeps only what ``query`` reads, as memoryviews: each node's
     ``first_pos`` and ``depth`` from the tour, and the ``own``, ``jump``
     and ``ladder_data`` that :func:`~findlarger.core._ladders` lays out,
-    with ``own`` kept at the first visits only.  The ladder entries are
+    with ``own`` kept at the first visits only, each the offset of its
+    chain's leaf.  The ladder entries are
     translated from tour stops to the nodes at those stops.  The negated
     depths have largest value 0, where the offsets are anchored, so the
     ancestor at depth d of the ladder an offset o names is
@@ -555,7 +558,7 @@ class LevelAncestorIndex:
     def entry_count(self) -> int:
         """Stored entries: three per node (first tour position, depth and
         own-ladder offset), one jump per tour stop, and the ladder entries
-        of the first visits."""
+        of the leaves and the last stop."""
         return sum(len(a) for a in self._arrays())
 
     def resident_bytes(self) -> int:

@@ -1,5 +1,6 @@
 """Unit tests for the one-level find-larger structure."""
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -22,26 +23,13 @@ from findlarger.bench import ScanFL
 from findlarger import core
 from findlarger.core import BLOCK, CHAIN, CHUNK, compute_valleys, position_dtype
 from findlarger.gen import random_parent_array, random_walk_values
-from findlarger.oracle import naive_fl, naive_fs
-from findlarger.trees import euler_tour, parse_parent_array
+from findlarger.oracle import enumerate_sequences, naive_fl, naive_fs
+from findlarger.trees import Tree, euler_tour, parse_parent_array
 
 from conftest import full_grid, one_diff_lists
 
 # worked example exercised throughout: two dips, two peaks
 EXAMPLE = [1, 0, 1, 2, 1, 2]
-
-
-def ladder_starts(s, values):
-    """Where each ladder of a built structure starts in ``ladder_data``,
-    then where the last one ends: own[x] = start(x) + (y_max - values[x]) - 1."""
-    own = np.asarray(s.own, dtype=np.int64)
-    return np.append(own - (s.y_max - np.asarray(values, dtype=np.int64)) + 1, len(s.ladder_data)).tolist()
-
-
-def heights(s, values):
-    """How many ladder entries each position of a built structure holds,
-    from its adjacent starts."""
-    return np.diff(ladder_starts(s, values)).tolist()
 
 
 def run_starts(values):
@@ -54,13 +42,47 @@ def run_starts(values):
     return b
 
 
-def run_ladders(s, values):
-    """{b: (start, height)} for every run start b of a built structure:
-    where b's ladder starts and how many entries it holds, which the
-    positions of b's run hold between them."""
-    starts = ladder_starts(s, values)
-    leads = sorted(set(run_starts(values)))
-    return {b: (starts[b], starts[e] - starts[b]) for b, e in zip(leads, leads[1:] + [len(values)])}
+def runs(values):
+    """(b, e) for each run b..e of rising steps, from its run start."""
+    b = run_starts(values)
+    ends = [x for x in range(len(b)) if x + 1 == len(b) or b[x + 1] != b[x]]
+    return [(b[e], e) for e in ends]
+
+
+def descents(values, rising_queries=True):
+    """{z: (s, q)} for each descent end z, a run start whose next step
+    rises, and n - 1: the top s of z's descent, the positions before z
+    whose next step does not rise, and the last query start q of z's run
+    z..e of rising steps (e, or z without rising queries)."""
+    n = len(values)
+    found = {}
+    for z, e in runs(values):
+        if z == n - 1 or values[z + 1] > values[z]:
+            s = z
+            while s > 0 and values[s] <= values[s - 1]:
+                s -= 1
+            found[z] = (s, e if rising_queries else z)
+    return found
+
+
+def readers(values):
+    """d(x), the descent end whose ladder x reads: the start of x's run
+    where the next step rises, else the end of x's descent."""
+    d = run_starts(values)
+    for x in range(len(values) - 2, -1, -1):
+        if values[x + 1] <= values[x]:
+            d[x] = d[x + 1]
+    return d
+
+
+def ladders(s, values):
+    """{z: (start, height)} for every descent end z of a built structure:
+    where z's ladder starts in ``ladder_data``, from own[z] =
+    start(z) + (y_max - values[z]) - 1, and how many entries it holds,
+    up to the next ladder's start."""
+    ends = sorted(descents(values))
+    starts = [int(s.own[z]) - (s.y_max - values[z]) + 1 for z in ends] + [len(s.ladder_data)]
+    return {z: (a, b - a) for z, a, b in zip(ends, starts, starts[1:])}
 
 
 class TestValidateSequence:
@@ -191,62 +213,81 @@ class TestBuildExample:
         s = OneLevelFL(EXAMPLE, 5)
         assert s.n == 6 and s.bottom == 6
         assert (s.y_min, s.y_max) == (0, 2)
-        # runs start at 0, 1, 4 and 5; 2 and 3 rise, and read the ladder of 1
+        # runs start at 0, 1, 4 and 5; of these 1, 4 and 5 end descents,
+        # 0..1 and 3..4.  2 rises and reads the ladder of 1, as 0 does;
+        # 3, which falls, reads the ladder of 4
         assert run_starts(EXAMPLE) == [0, 1, 1, 1, 4, 5]
-        # own[x] = start(x) + (y_max - values[x]) - 1, the same along a run
-        assert list(s.own) == [0, 2, 2, 2, 3, 3]
-        assert ladder_starts(s, EXAMPLE) == [0, 1, 2, 3, 3, 4, 4]
+        assert descents(EXAMPLE) == {1: (0, 3), 4: (3, 4), 5: (5, 5)}
+        assert readers(EXAMPLE) == [1, 1, 1, 4, 4, 5]
+        # own[z] = start(z) + (y_max - values[z]) - 1, and every reader of
+        # z's ladder stores own[z]; 4's ladder reaches the top, so the empty
+        # ladder of 5 after it has the same offset
+        assert list(s.own) == [1, 1, 1, 2, 2, 2]
         # position 0 jumps to its own ladder, every other one to ladder 5,
         # each stored as own[base]
         assert list(s.jump) == [s.own[b] for b in [0, 5, 5, 5, 5, 5]]
-        assert list(s.jump) == [0, 3, 3, 3, 3, 3]
-        # the run 1..3 holds ladder 1, one entry for 1 and one for 2
-        assert heights(s, EXAMPLE) == [1, 1, 1, 0, 1, 0]
-        assert run_ladders(s, EXAMPLE) == {0: (0, 1), 1: (1, 2), 4: (3, 1), 5: (4, 0)}
-        # entries are full find-larger answers: L_0 = [3], L_1 = [2, 3], L_4 = [5]
-        assert list(s.ladder_data) == [3, 2, 3, 5]
+        assert list(s.jump) == [1, 2, 2, 2, 2, 2]
+        # 1 and 2 hold one entry of ladder 1 each and 3 none: 1's ladder
+        # reaches the top, and 2 .. 3 rise by two
+        assert ladders(s, EXAMPLE) == {1: (0, 2), 4: (2, 1), 5: (3, 0)}
+        # entries are full find-larger answers: L_1 = [2, 3], L_4 = [5]
+        assert list(s.ladder_data) == [2, 3, 5]
+        # the endpoint ladders are L_1, of 0's descent end, and the empty
+        # L_5, so L_4 alone is interior
+        r = s.space_report()
+        assert (r.total_ladder_entries, r.interior_ladder_entries) == (3, 1)
 
     def test_every_ladder_entry_matches_the_oracle(self):
         for kappa in (3, 4, 5, 6):
             s = OneLevelFL(EXAMPLE, kappa)
-            starts = ladder_starts(s, EXAMPLE)
-            for x, h in enumerate(heights(s, EXAMPLE)):
-                for j in range(h):
-                    assert s.ladder_data[starts[x] + j] == naive_fl(EXAMPLE, x, EXAMPLE[x] + 1 + j)
-                    # the own offset reads the same entry for its target
-                    y = EXAMPLE[x] + 1 + j
-                    assert s.ladder_data[s.own[x] + y - s.y_max] == s.ladder_data[starts[x] + j]
+            found = ladders(s, EXAMPLE)
+            for x, z in enumerate(readers(EXAMPLE)):
+                start, height = found[z]
+                for j in range(height):
+                    y = EXAMPLE[z] + 1 + j
+                    assert s.ladder_data[start + j] == naive_fl(EXAMPLE, z, y)
+                    # every reader's own offset reads the same entry for
+                    # each target above its own value
+                    if y > EXAMPLE[x]:
+                        assert s.ladder_data[s.own[x] + y - s.y_max] == naive_fl(EXAMPLE, x, y)
 
     def test_jump_of_zero_is_zero(self):
-        # position 0 jumps to its own ladder
+        # position 0 jumps to its own ladder, that of its descent's end
         for kappa in (3, 4, 5):
-            for values in (EXAMPLE, list(range(16))):
+            for values in (EXAMPLE, list(range(16)), list(range(16, 0, -1))):
                 s = OneLevelFL(values, kappa)
-                assert s.jump[0] == s.own[0] == s.y_max - values[0] - 1
+                z0 = readers(values)[0]
+                assert s.jump[0] == s.own[0] == s.y_max - values[z0] - 1
 
     def test_endpoint_ladders_reach_the_top(self):
-        # the ladder of 0's run and that of n - 1, which starts a run of
-        # its own, also where the values rise into it
-        for values in (EXAMPLE, [2, 3, 4, 3, 2, 3, 4, 5, 6], list(range(9))):
+        # the ladder of 0's descent end and that of n - 1, which ends a
+        # descent of its own, also where the values rise into it
+        for values in (EXAMPLE, [2, 3, 4, 3, 2, 3, 4, 5, 6], list(range(9)), [5, 4, 4, 3, 4, 5, 4]):
             s = OneLevelFL(values, 5)
-            ladders = run_ladders(s, values)
+            found = ladders(s, values)
             n = len(values)
-            assert ladders[0][1] == s.y_max - values[0]
-            assert ladders[n - 1][1] == s.y_max - values[n - 1]
+            z0 = readers(values)[0]
+            assert found[z0][1] == s.y_max - values[z0]
+            assert found[n - 1][1] == s.y_max - values[n - 1]
 
 
 def reference_build(values, kappa, rising_queries=True):
     """Own offsets, ladders and jumps by per-position loops over Python
     integers: the reference the blocked build must equal.
 
-    A ladder goes at each run start b (0, n - 1, and each x where the
-    values do not rise) and is shared by b's run of rising steps b..e:
-    the positions b .. q - 1 hold one entry each and q the rest, for q
-    the run's last query start (e, or b without rising queries).  The
-    entries are placed at starts summed from what each position holds,
-    then named by the offset ``own[x] = starts[x] + (y_max - values[x])
-    - 1``; each jump is computed as its base position, then stored as
-    ``own[base]``."""
+    A ladder goes at each descent end z: a run start (0, n - 1, and each
+    x where the values do not rise) whose next step rises, and n - 1.
+    It is shared by z's descent s..z, the positions before z whose next
+    step does not rise, and by z's run of rising steps z..e: the
+    positions z .. q - 1 hold one entry each and q the rest, for q the
+    run's last query start (e, or z without rising queries).  It holds
+    z's weight term, but at least the floor plus the larger of q - z and
+    values[s] - values[z], and at most z's height below the top, which
+    the ladders of 0's descent end and of n - 1 reach.  The entries are
+    placed at starts summed from what each position holds, then named by
+    the offset ``own[x] = starts[x] + (y_max - values[x]) - 1``, which a
+    position of a descent takes from the next position; each jump is
+    computed as its base position, then stored as ``own[base]``."""
     n = len(values)
     valley = compute_valleys(values).tolist()
     y_min, y_max = min(values), max(values)
@@ -255,18 +296,16 @@ def reference_build(values, kappa, rising_queries=True):
     for v in valley[:n]:
         weight[v] += 1
     floor = min(kappa - 1, y_max - y_min)
-    run_start = run_starts(values)
     held = [0] * n
-    for b in sorted(set(run_start)):
-        e = b
-        while e + 1 < n and run_start[e + 1] == b:
-            e += 1
-        q = e if rising_queries else b
-        top = y_max - values[b]
-        h = top if b in (0, n - 1) else min(max(kappa_prime * (weight[b] - 1) - 2, floor + q - b), top)
-        for x in range(b, q):
+    for z, (s, q) in descents(values, rising_queries).items():
+        top = y_max - values[z]
+        if s == 0 or z == n - 1:
+            h = top
+        else:
+            h = min(max(kappa_prime * (weight[z] - 1) - 2, floor + max(q - z, values[s] - values[z])), top)
+        for x in range(z, q):
             held[x] = 1
-        held[q] = h - (q - b)
+        held[q] = h - (q - z)
     starts = [0]
     for h in held:
         starts.append(starts[-1] + h)
@@ -286,6 +325,9 @@ def reference_build(values, kappa, rising_queries=True):
             t = min(i + (kappa - 2) * (x & -x), size - 1)
             base[x] = valley[next_at[t]]
     own = [st + (y_max - y) - 1 for st, y in zip(starts, values)]
+    for x in range(n - 2, -1, -1):
+        if values[x + 1] <= values[x]:
+            own[x] = own[x + 1]
     return own, ladder_data, [own[b] for b in base]
 
 
@@ -303,6 +345,9 @@ SHAPES = {
     "decreasing": lambda n: list(range(n, 0, -1)),
     "constant": lambda n: [3] * n,
     "path-tour": path_tour,
+    # down, then up into n - 1 from below the start: at n = BLOCK + 1 the
+    # rise into n - 1 crosses a block edge
+    "v": lambda n: list(range(n // 2 + 1, 0, -1)) + list(range(n - n // 2 - 1)),
 }
 
 
@@ -381,8 +426,9 @@ def staircase(run, count):
 
 
 class TestRunLadders:
-    """Ladders go at run starts; a position on a rising step reads the
-    ladder of its run's start."""
+    """Ladders go at descent ends; a position on a rising step reads the
+    ladder of its run's start, and one on a non-rising step that of its
+    descent's end."""
 
     @settings(max_examples=150, deadline=None)
     @given(one_diff_lists(max_n=80))
@@ -401,10 +447,10 @@ class TestRunLadders:
     @settings(max_examples=100, deadline=None)
     @given(one_diff_lists(max_n=80), st.sampled_from([3, 4, 5, 9, 30, 2**62]))
     def test_a_rising_position_reads_its_runs_ladder(self, values, kappa):
-        b = run_starts(values)
+        d = readers(values)
         for v in at_the_limits(values):
             own = OneLevelFL(v, kappa).own.tolist()
-            assert own == [own[b[x]] for x in range(len(values))]
+            assert own == [own[d[x]] for x in range(len(values))]
 
     @pytest.mark.parametrize("kappa", [3, 5, 9, 30, 2**62])
     @pytest.mark.parametrize("shape", ["runs-of-5000", "increasing-12293"])
@@ -425,6 +471,97 @@ class TestRunLadders:
             assert [s.query(x, values[x] + t) for t in climbs] == want[x], x
 
 
+def run_start_entries(values, kappa):
+    """The ladder entries of the run-start rule, which ladders followed
+    before they moved to descent ends, by a per-position loop: a ladder
+    at each run start b, shared by b's run of rising steps b..e, holds
+    b's weight term, but at least the floor plus e - b, and at most b's
+    height below the top, which the ladders of 0's run and of n - 1
+    reach."""
+    n = len(values)
+    y_max = max(values)
+    kappa_prime = -((2 * kappa + 2) // (2 - kappa))
+    floor = min(kappa - 1, y_max - min(values))
+    weight = [0] * n
+    for v in compute_valleys(values).tolist()[:n]:
+        weight[v] += 1
+    total = 0
+    for start, e in runs(values):
+        top = y_max - values[start]
+        total += top if start in (0, n - 1) else min(max(kappa_prime * (weight[start] - 1) - 2, floor + e - start), top)
+    return total
+
+
+def sawtooth(n, period):
+    return [abs(x % period - period // 2) for x in range(n)]
+
+
+def comb(n, depth):
+    """V-shaped teeth ``depth`` deep, each one step lower than the last."""
+    values = [0]
+    while len(values) < n:
+        base = values[-1]
+        values += range(base - 1, base - depth - 1, -1)
+        values += range(base - depth + 1, base + 1)
+        values.append(base - 1)
+    return values[:n]
+
+
+def ruler(n):
+    """Minus the trailing zeros of 1, 2, 3, ..., filled in by steps of one."""
+    values = [0]
+    for i in range(2, n + 1):
+        target = -((i & -i).bit_length() - 1)  # never that of i - 1
+        step = 1 if target > values[-1] else -1
+        values += range(values[-1] + step, target + step, step)
+    return values[:n]
+
+
+def binary_tree_tour(n):
+    """The negated depths of the Euler tour of a complete binary tree of
+    (n + 1) // 2 nodes, n stops for odd n."""
+    parent = [-1] + [(v - 1) // 2 for v in range(1, (n + 1) // 2)]
+    return (-euler_tour(Tree.from_parents(parent)).depths).tolist()
+
+
+FAMILIES = {
+    "sawtooth-4": lambda n: sawtooth(n, 4),
+    "sawtooth-64": lambda n: sawtooth(n, 64),
+    "sawtooth-1024": lambda n: sawtooth(n, 1024),
+    "comb-8": lambda n: comb(n, 8),
+    "comb-64": lambda n: comb(n, 64),
+    "ruler": ruler,
+    "binary-tree-tour": lambda n: binary_tree_tour(n - 1),
+}
+
+
+class TestNoBuildGrows:
+    """Descent-end ladders never hold more entries than the run-start
+    ladders they replaced."""
+
+    def test_every_short_sequence(self):
+        for n in range(1, 11):
+            for values in enumerate_sequences(n):
+                values = values.tolist()
+                for kappa in (3, 4, 5, 2**62):
+                    assert len(OneLevelFL(values, kappa).ladder_data) <= run_start_entries(values, kappa), (values, kappa)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_structured_families(self, family):
+        values = FAMILIES[family](1 << 16)
+        assert all(abs(a - b) <= 1 for a, b in zip(values, values[1:]))
+        rng = random.Random(family)
+        lo, hi = min(values), max(values)
+        queries = [(rng.randrange(len(values)), rng.randrange(lo - 1, hi + 2)) for _ in range(2000)]
+        want = [naive_fl(values, x, y) for x, y in queries]
+        for kappa in (3, 5):
+            s = OneLevelFL(values, kappa)
+            assert len(s.ladder_data) <= run_start_entries(values, kappa)
+            r = s.space_report()
+            assert r.interior_ladder_entries <= r.interior_bound
+            assert [s.query(x, y) for x, y in queries] == want
+
+
 class TestPositionWidth:
     """Positions and offsets are int32 short of 2^31, filled in int64."""
 
@@ -439,28 +576,42 @@ class TestPositionWidth:
         values = random_walk_values(n, seed=n)
         s = OneLevelFL(values, kappa)
         own, ladder_data, jump = reference_build(values, kappa)
-        # every block holds a ladder taller than its chained entries, so
-        # both ways the fill writes an entry, chained through up and
-        # searched, reach the int32 arrays in every block
-        tall = np.diff(ladder_starts(s, values)) > min(kappa - 1, CHAIN)
-        assert all(tall[a : a + BLOCK].any() for a in range(0, n, BLOCK))
+        # every block holds a ladder's last holder q with entries past its
+        # chained ones that are searched, and every full block one with
+        # such entries gathered from its descent, up to one above the top
+        # s, so the three ways an entry is written, chained through up,
+        # searched and gathered, reach the int32 arrays in every block
+        rows = min(kappa - 1, CHAIN)
+        found = ladders(s, values)
+        gathered, searched = [0] * n, [0] * n
+        for z, (top, q) in descents(values).items():
+            held = found[z][1] - (q - z)
+            below = min(values[top] + 1 - values[q], held)
+            gathered[q] = below - rows
+            searched[q] = held - max(rows, below)
+        assert all(max(searched[a : a + BLOCK]) > 0 for a in range(0, n, BLOCK))
+        assert all(max(gathered[a : a + BLOCK]) > 0 for a in range(0, n - BLOCK + 1, BLOCK))
         for got, want in ((s.own, own), (s.ladder_data, ladder_data), (s.jump, jump)):
             assert np.asarray(got).dtype == np.int32
             assert got.tobytes() == np.array(want, dtype=np.int32).tobytes()
 
     def test_tall_needles_past_int32(self):
-        # ladder 0 holds n - 3 entries, nearly all searched: the needle of
-        # entry r adds (r + 1) * BLOCK to a key, by way of BLOCK times the
-        # entry's rank in the block, both past 2^31 here.  Ladder 1, of the
-        # run 1 .. n - 2, holds n - 2 entries, one at each position of it
+        # 0, 1, 0, 1, 2, ...: ladder 0, of the run 0 .. 1, reaches the top,
+        # and 1 holds n - 4 entries of it, nearly all searched: the needle
+        # of entry r adds (r + 1) * BLOCK to a key, by way of BLOCK times
+        # the entry's rank in the block, both past 2^31 here.  Ladder 2, of
+        # the run 2 .. n - 2, holds n - 3 entries, one at each position of
+        # it and the last at n - 2
         n = 2**31 // BLOCK + BLOCK
-        values = np.arange(-1, n - 1, dtype=np.int64)
-        values[0] = 1
+        values = np.arange(-2, n - 2, dtype=np.int64)
+        values[:3] = [0, 1, 0]
         s = OneLevelFL(values, 5)
-        starts = ladder_starts(s, values)
+        found = ladders(s, values.tolist())
         assert np.asarray(s.ladder_data).dtype == np.int32
-        assert np.array_equal(s.ladder_data[starts[0] : starts[1]], np.arange(3, n))
-        assert np.array_equal(s.ladder_data[starts[1] : starts[n - 1]], np.arange(2, n))
+        assert list(found) == [0, 2, n - 1]
+        (a, h), (b, g) = found[0], found[2]
+        assert np.array_equal(s.ladder_data[a : a + h], np.append(1, np.arange(4, n)))
+        assert np.array_equal(s.ladder_data[b : b + g], np.arange(3, n))
 
 
 class TestQuery:
@@ -567,20 +718,25 @@ class TestFindSmaller:
 
 class TestSpaceAndStats:
     def test_example_report(self):
+        # the endpoint ladders are L_1 of 0's descent end 1, two entries,
+        # and the empty L_5: L_4 is interior
         r = OneLevelFL(EXAMPLE, 5).space_report()
-        assert r.total_ladder_entries == 4
-        assert r.interior_ladder_entries == 3
+        assert r.total_ladder_entries == 3
+        assert r.interior_ladder_entries == 1
         assert r.interior_bound == 48
-        assert r.words == 3 * 6 + 4
+        assert r.words == 3 * 6 + 3
 
     @settings(max_examples=150, deadline=None)
     @given(one_diff_lists(max_n=80), st.integers(3, 7))
     def test_interior_bound_always_holds(self, values, kappa):
         r = OneLevelFL(values, kappa).space_report()
         assert r.interior_ladder_entries <= r.interior_bound
+        # the ladders of 0's descent end and of n - 1, one ladder where
+        # the descent from 0 ends at n - 1, reach the top
+        n, z0 = len(values), readers(values)[0]
         assert r.total_ladder_entries == r.interior_ladder_entries + (
-            max(values) - values[0]
-        ) + (max(values) - values[-1] if len(values) > 1 else 0)
+            max(values) - values[z0]
+        ) + (max(values) - values[-1] if z0 != n - 1 else 0)
 
     @settings(max_examples=150, deadline=None)
     @given(one_diff_lists(max_n=80), st.integers(3, 7))
@@ -593,11 +749,11 @@ class TestSpaceAndStats:
     def test_resident_bytes_are_the_arrays_nbytes(self):
         s = OneLevelFL(EXAMPLE, 5)
         r = s.space_report()
-        # 6 heights, 6 jumps, 6 own offsets and 4 ladder entries in int32
-        assert s.resident_bytes() == 4 * (6 + 6 + 6 + 4) == 88
-        assert s.entry_count() == r.words == 6 + 6 + 6 + 4
+        # 6 heights, 6 jumps, 6 own offsets and 3 ladder entries in int32
+        assert s.resident_bytes() == 4 * (6 + 6 + 6 + 3) == 84
+        assert s.entry_count() == r.words == 6 + 6 + 6 + 3
         # kappa 2^62 makes every ladder full height, as tall as at kappa 5 here
-        assert OneLevelFL(EXAMPLE, 2**62).resident_bytes() == 88
+        assert OneLevelFL(EXAMPLE, 2**62).resident_bytes() == 84
 
     def test_heights_take_the_width_of_n(self, monkeypatch):
         # under a width rule of int8 below 2^7, the 100 heights of this run

@@ -480,15 +480,15 @@ class TestLevelAncestorIndex:
         # 6 nodes, 11 tour stops; the ladder entries are node ids
         assert len(idx.first_pos) == len(idx.depth) == len(idx.own) == 6
         assert len(idx.jump) == 11
-        # of the tour 0 1 3 1 4 1 0 2 5 2 0, only the first visits hold a
-        # ladder of the ancestors above them, nearest first: [] for the
-        # root, [0] for node 1, [1, 0] for node 3, [1, 0] for node 4, [0]
-        # for node 2 and [2, 0] for node 5; the last stop's is empty
-        assert idx.ladder_data.tolist() == [0, 1, 0, 1, 0, 0, 2, 0]
-        # own[v] = start of v's ladder + depth(v) - 1
-        assert idx.own.tolist() == [-1, 0, 5, 2, 4, 7]
-        assert idx.entry_count() == 6 + 6 + 6 + 11 + 8
-        assert idx.resident_bytes() == 4 * (6 + 6 + 6 + 11 + 8) == 148
+        # of the tour 0 1 3 1 4 1 0 2 5 2 0, only the leaves hold a ladder
+        # of the ancestors above them, nearest first: [1, 0] for node 3,
+        # [1, 0] for node 4 and [2, 0] for node 5; the last stop's is empty
+        assert idx.ladder_data.tolist() == [1, 0, 1, 0, 2, 0]
+        # own[v] = start of the ladder of the leaf that v's chain of first
+        # visits reaches + depth(leaf) - 1: nodes 0, 1 and 3 share node 3's
+        assert idx.own.tolist() == [1, 1, 5, 1, 3, 5]
+        assert idx.entry_count() == 6 + 6 + 6 + 11 + 6
+        assert idx.resident_bytes() == 4 * (6 + 6 + 6 + 11 + 6) == 140
         for name in ("nodes", "depths", "ladder_start", "_fs"):
             assert not hasattr(idx, name)
         kept = [getattr(idx, name) for name in idx.__slots__]
@@ -563,10 +563,10 @@ def test_a_jump_offset_passes_the_end_of_the_ladders():
 
 
 def test_offsets_take_the_width_of_their_bound(monkeypatch):
-    # under a width rule of int8 below 2^7, this tour (85 stops) and its
-    # ladders (126 entries) fit int8, but an offset reaches 128: the width
+    # under a width rule of int8 below 2^7, this tour (107 stops) and its
+    # ladders (124 entries) fit int8, but an offset reaches 130: the width
     # must come from the offsets' bound, entries plus the largest depth
-    tree = Tree.from_parents(fork(8, 33))
+    tree = Tree.from_parents(random_parent_array(54, 96, 0.95))
     want = LevelAncestorIndex(tree, 3)
     monkeypatch.setattr(core, "position_dtype", lambda largest: np.int8 if largest < 2**7 else np.int64)
     got = LevelAncestorIndex(tree, 3)
@@ -618,7 +618,7 @@ def test_masked_ladders_are_the_full_ones_less_the_dropped(kappa):
     # the negated depths of a tour of more than 3 blocks, built as
     # LevelAncestorIndex builds them, with queries at first visits only,
     # against the build with queries at every stop: the ladders sit at the
-    # same run starts, the first visits and the last stop, and each is the
+    # same descent ends, the leaves and the last stop, and each is the
     # full one cut to its own height
     tour = euler_tour(Tree.from_parents(random_parent_array(6500, 21, 0.5)))
     values = -tour.depths
@@ -629,28 +629,33 @@ def test_masked_ladders_are_the_full_ones_less_the_dropped(kappa):
     full_own, full_data, full_jump, _ = _ladders(values, kappa, y_min, 0)
     own, ladder_data, jump, _ = _ladders(values, kappa, y_min, 0, rising_queries=False)
 
-    # own[x] = start(x) + (y_max - values[x]) - 1, with y_max = 0
-    lead = np.append(np.sort(tour.first_pos), n - 1)
-    full_starts = np.append(full_own + values + 1, len(full_data))
-    starts = np.append(own + values + 1, len(ladder_data))
-    ends = np.append(lead[1:], n)
-    full_heights = full_starts[ends] - full_starts[lead]
-    heights = starts[ends] - starts[lead]
+    # the descent ends: the last stop, and the stops that a step rises
+    # from and none rises into, which are the leaves
+    rise = values[1:] > values[:-1]
+    ends = np.append(np.flatnonzero(rise & ~np.append(False, rise[:-1])), n - 1)
+    leaves = np.sort(tour.first_pos[np.bincount(tour.nodes, minlength=len(tour.first_pos)) == 1])
+    assert np.array_equal(ends[:-1], leaves)
+    # own[z] = start(z) + (y_max - values[z]) - 1, with y_max = 0
+    full_starts = np.append(full_own[ends] + values[ends] + 1, len(full_data))
+    starts = np.append(own[ends] + values[ends] + 1, len(ladder_data))
+    full_heights = np.diff(full_starts)
+    heights = np.diff(starts)
     assert (heights <= full_heights).all()
     # at kappa 2^62 every ladder reaches the top in both builds
     assert (heights < full_heights).any() == (kappa < 2**62)
     assert heights[-1] == full_heights[-1] == 0  # the last stop is the root
-    want_data = np.concatenate([full_data[a : a + h] for a, h in zip(full_starts[lead], heights)])
+    want_data = np.concatenate([full_data[a : a + h] for a, h in zip(full_starts, heights)])
     want_starts = np.cumsum(np.append(0, heights))[:-1]
     # a jump is its base's own offset, so it moves down by the entries
-    # dropped before its base, a run start
+    # dropped before its base, a descent end, or 0, which reads the
+    # ladder of its own descent's end
     base = np.array(jump_bases(values.tolist(), valley.tolist(), kappa))
-    assert np.isin(base, lead).all()
+    assert base[0] == 0 and np.isin(base[1:], ends).all()
     assert (full_jump == full_own[base]).all()
     want_jump = full_jump - (full_own - own)[base]
     assert 0 < len(ladder_data) <= len(full_data)
     for got, want in (
-        (own[lead], want_starts - values[lead] - 1),
+        (own[ends], want_starts - values[ends] - 1),
         (ladder_data, want_data),
         (jump, want_jump),
     ):
@@ -660,8 +665,9 @@ def test_masked_ladders_are_the_full_ones_less_the_dropped(kappa):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_trees_build_as_the_per_position_loop(seed):
-    # the build LevelAncestorIndex runs, at the run starts it keeps,
-    # against the per-position loop of the sequence tests
+    # the build LevelAncestorIndex runs, at the first visits and the last
+    # stop, the run starts, against the per-position loop of the sequence
+    # tests
     values = (-euler_tour(Tree.from_parents(random_parent_array(2000, seed, 0.3 * seed))).depths).tolist()
     lead = [x for x in range(len(values)) if x in (0, len(values) - 1) or values[x] <= values[x - 1]]
     for kappa in (3, 5, 2**62):

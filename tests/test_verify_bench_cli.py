@@ -37,7 +37,8 @@ class TestCheckSequence:
         s = OneLevelFL([1, 0, 1, 2, 1, 2], 5)
         # the true entry is 3; position 5 holds the same value, so only
         # the oracle, not the query's own check, tells them apart
-        s.ladder_data[0] = 5
+        assert s.ladder_data[1] == 3
+        s.ladder_data[1] = 5
         report = check_sequence([1, 0, 1, 2, 1, 2], structure=s)
         assert report["pass"] is False
         assert 0 < report["mismatch_count"] <= 10
@@ -96,8 +97,8 @@ class TestCheckTree:
     def test_corrupted_tour_is_caught(self):
         idx = LevelAncestorIndex(self.TREE)
         # tour stop 2 (node 2) has the ladder [1, 0]; node 4 is at depth 1 too
-        assert idx.ladder_data[1] == 1
-        idx.ladder_data[1] = 4
+        assert idx.ladder_data[0] == 1
+        idx.ladder_data[0] = 4
         report = check_tree(self.TREE, index=idx)
         assert report["pass"] is False
         m = report["mismatches"][0]
@@ -276,19 +277,22 @@ class TestCli:
         f.write_text("6\n1 0 1 2 1 2\n")
         assert main(["inspect", str(f), "--kappa", "5"]) == 0
         out = capsys.readouterr().out
-        # the jumps land on ladders 0 5 5 5 5 5, each stored as
-        # own[base] = start(base) + (y_max - values[base]) - 1
-        assert "JumpOffset: 0 3 3 3 3 3" in out
-        # 2 and 3 rise, and share the ladder of their run's start 1
-        assert "RunStart: 0 1 1 1 4 5" in out
-        assert "LadderStart: 0 1 - - 3 4" in out
-        assert "LadderHeight: 1 2 - - 1 0" in out
+        # the jumps land on ladders 0 5 5 5 5 5, each stored as the own
+        # offset of the base
+        assert "JumpOffset: 1 2 2 2 2 2" in out
+        # 0 falls to 1 and 2 rises from it, so all three read 1's ladder;
+        # 3 falls to 4, whose ladder reaches the top, and the empty ladder
+        # of 5 after it shares its offset
+        assert "OwnOffset: 1 1 1 2 2 2" in out
         assert "Valley: 0 1 1 1 4 4 5" in out
         assert "Weight: 1 3 0 0 2 0" in out
-        assert "Ladder[1]: 2 3" in out
-        assert "Ladder[2]" not in out
+        assert "Ladder[0 1 2]: 2 3\n" in out
+        assert "Ladder[3 4 5]: 5\n" in out
+        assert out.count("Ladder[") == 2
+        assert "RunStart" not in out
         assert "kappa_prime: 4" in out
-        assert "total_ladder_entries: 4" in out
+        assert "total_ladder_entries: 3" in out
+        assert "interior_ladder_entries: 1" in out
 
     def test_inspect_refuses_large_input(self, tmp_path):
         f = tmp_path / "big.txt"
