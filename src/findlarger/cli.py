@@ -113,12 +113,13 @@ def cmd_inspect(args) -> int:
     row("Valley", valley)
     row("Weight", weight)
     row("JumpOffset", s.jump)
-    row("OwnOffset", s.own)
-    # the positions that store one own offset read one ladder, whose first
-    # entry answers the target one above the lowest of their values; the
+    own = [s._own_offset(x) for x in range(s.n)]
+    row("OwnOffset", own)
+    # the positions of one own offset read one ladder, whose first entry
+    # answers the target one above the lowest of their values; the
     # ladders lie in that order, the last up to the end of the data
     shared = {}
-    for x, o in enumerate(s.own):
+    for x, o in enumerate(own):
         shared.setdefault(o, []).append(x)
     firsts = sorted((o + min(values[x] for x in xs) + 1 - s.y_max, xs) for o, xs in shared.items())
     for (start, xs), (end, _) in zip(firsts, firsts[1:] + [(len(s.ladder_data), None)]):

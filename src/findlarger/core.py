@@ -20,7 +20,9 @@ are laid out by one function, ``_ladders``, at descent ends only: the
 run starts whose next step rises, and n - 1.  Every position reads the
 ladder of the end of its descent, or of the start of its rising run,
 through an offset o into the shared ladder array, anchored at y_max,
-which holds the entry for a target y at ``o + y - y_max``.
+which holds the entry for a target y at ``o + y - y_max``.  Each index
+keeps a position's own offset as a narrow delta from the least offset of
+its block of ``BLOCK`` positions, and the jumps' offsets whole.
 """
 
 from __future__ import annotations
@@ -288,9 +290,10 @@ class SpaceReport:
     remaining ladders obey
     ``interior_ladder_entries <= interior_bound = (kappa - 1 + kappa_prime) * n``.
     ``words`` counts every stored entry: the n heights, the n jumps, the
-    n own-ladder offsets and the ladder entries.  The heights take the
-    width of the spread, the rest that of their offsets' bound, from 1 to
-    8 bytes, see :func:`position_dtype`.
+    n own-ladder deltas, their ceil(n / BLOCK) block bases and the ladder
+    entries.  The heights take the width of the spread, the deltas that
+    of the largest delta, the rest that of their offsets' bound, from 1
+    to 8 bytes, see :func:`position_dtype`.
     """
 
     total_ladder_entries: int
@@ -430,12 +433,12 @@ def _ladders(
     y_min: int,
     y_max: int,
     rising_queries: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, BuildStats]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, BuildStats]:
     """The build both :class:`OneLevelFL` and ``LevelAncestorIndex`` run
     over ``data``, a 1-difference int64 array of least and largest values
     ``y_min`` and ``y_max``: the valley sweep, weights, ladders and jumps.
-    It returns the own-ladder offsets, ladder entries, jump offsets and
-    :class:`BuildStats`.
+    It returns the own-ladder deltas and their block bases, the ladder
+    entries, the jump offsets and :class:`BuildStats`.
 
     The build has two layers.  :func:`_fill` works in positions: it
     writes every ladder entry and, for every x, the position where x's
@@ -446,9 +449,17 @@ def _ladders(
     and a jump that lands on p becomes ``own[valley[p]]``, the ladder of
     the landing's valley, which is tall enough for every target the jump
     serves (``valley[n] = n - 1`` for a landing on n).  The offsets lie
-    in [-1, total + y_max - y_min) for total ladder entries, so all three
-    arrays take the width :func:`position_dtype` picks for the larger of
-    that bound and n.
+    in [-1, total + y_max - y_min) for total ladder entries, so the jumps
+    and the ladder entries take the width :func:`position_dtype` picks
+    for the larger of that bound and n.
+
+    ``own`` is then kept as a delta from ``own_base[x >> _BITS]``, the
+    least offset in x's block of ``BLOCK`` positions, which ``own_base``
+    holds at the jumps' width: the absolute offset is
+    ``own[x] + own_base[x >> _BITS]``.  A descent and its run share one
+    offset, so on a random walk a block's deltas span a few times its
+    length and take int16, the width of the largest.  The jumps, whose
+    landings lie anywhere, keep absolute offsets.
 
     Ladders go at descent ends only.  A run of rising steps starts where
     the data do not rise: at 0, wherever ``data[b] <= data[b - 1]``, and
@@ -550,7 +561,16 @@ def _ladders(
     # left of the piece that jumps to it
     for j in range(0, n, CHUNK):
         jump[j : j + CHUNK] = own[valley[jump[j : j + CHUNK]]]
-    return own, ladder_data, jump, BuildStats(pushes, pops, total)
+    # freed first, so that the deltas do not raise the fill's peak
+    del valley, up
+    firsts = np.arange(0, n, BLOCK)
+    own_base = np.minimum.reduceat(own, firsts)
+    span = np.maximum.reduceat(own, firsts)
+    span -= own_base
+    delta = np.empty(n, dtype=position_dtype(int(span.max())))
+    for j in range(0, n, BLOCK):
+        np.subtract(own[j : j + BLOCK], own_base[j >> _BITS], out=delta[j : j + BLOCK])
+    return delta, own_base, ladder_data, jump, BuildStats(pushes, pops, total)
 
 
 def _first_at(sorted_keys: np.ndarray, needles: np.ndarray, a: int, next_at: np.ndarray) -> np.ndarray:
@@ -734,11 +754,14 @@ class OneLevelFL:
     or the start of its run, and z's ladder is tall enough for the short
     climbs of every position of both.  ``jump[x]`` is ``own[p]`` for the
     valley p that x jumps to, itself a descent end.  The offsets lie in
-    [-1, len(ladder_data) + y_max - y_min).  ``own``, ``jump`` and
-    ``ladder_data`` are memoryviews of ndarrays, cheaper to read one
-    entry at a time; all three take the width :func:`position_dtype`
-    picks for the larger of n and that bound, the narrowest that holds
-    it; the fill itself computes in int64.
+    [-1, len(ladder_data) + y_max - y_min).  ``jump`` and ``ladder_data``
+    take the width :func:`position_dtype` picks for the larger of n and
+    that bound, the narrowest that holds it; the fill itself computes in
+    int64.  ``own`` keeps each offset as a delta from ``own_base``, the
+    least offset of each block of ``BLOCK`` positions, at that width, so
+    that x's offset is ``own[x] + own_base[x >> _BITS]``; the deltas take
+    the width of the largest, 2 bytes on a random walk.  All are
+    memoryviews of ndarrays, cheaper to read one entry at a time.
     The values themselves are not kept: the index keeps each position's
     height below the top, ``y_max - values[x]``, in the width
     :func:`position_dtype` picks for the spread ``y_max - y_min``, the
@@ -771,6 +794,7 @@ class OneLevelFL:
         "bottom",
         "jump",
         "own",
+        "own_base",
         "ladder_data",
         "build_stats",
         "_height",
@@ -782,7 +806,7 @@ class OneLevelFL:
         n = len(data)
         y_min = int(data.min())
         y_max = int(data.max())
-        own, ladder_data, jump, self.build_stats = _ladders(data, kappa, y_min, y_max)
+        own, own_base, ladder_data, jump, self.build_stats = _ladders(data, kappa, y_min, y_max)
 
         self._height = memoryview(_heights(data, y_min, y_max))
         self.n = n
@@ -793,6 +817,7 @@ class OneLevelFL:
         self.bottom = n
         self.jump = memoryview(jump)
         self.own = memoryview(own)
+        self.own_base = memoryview(own_base)
         self.ladder_data = memoryview(ladder_data)
 
     def query(self, x: int, y: int) -> int:
@@ -816,7 +841,7 @@ class OneLevelFL:
         if t < self.kappa:
             # the ladder of x's run is tall enough: it holds at least
             # min(kappa - 1, height[x]) entries above values[x]
-            o = self.own[x]
+            o = self.own[x] + self.own_base[x >> _BITS]
         else:
             # align x down to a multiple of p, the largest power of two at
             # most t // kappa, avoiding positions whose power-of-two weight
@@ -845,10 +870,10 @@ class OneLevelFL:
         # descent end z0 and that of n - 1, one ladder when z0 = n - 1.
         # z0's is the first ladder, as no position before z0 holds an
         # entry, so own[0] = own[z0] = height[z0] - 1
-        own = self.own
-        interior = total - (own[0] + 1) - (height[n - 1] if own[n - 1] != own[0] else 0)
-        # heights + jump + own + ladder data
-        words = 3 * n + total
+        first, last = self._own_offset(0), self._own_offset(n - 1)
+        interior = total - (first + 1) - (height[n - 1] if last != first else 0)
+        # heights + jump + own + own bases + ladder data
+        words = 3 * n + len(self.own_base) + total
         return SpaceReport(
             total_ladder_entries=total,
             interior_ladder_entries=interior,
@@ -856,17 +881,22 @@ class OneLevelFL:
             words=words,
         )
 
+    def _own_offset(self, x: int) -> int:
+        """The offset of the ladder that position x reads for a short
+        climb: its delta plus the base of its block."""
+        return self.own[x] + self.own_base[x >> _BITS]
+
     def entry_count(self) -> int:
         """Stored entries, as counted by :meth:`space_report`."""
         return sum(len(a) for a in self._arrays())
 
     def resident_bytes(self) -> int:
         """Bytes held by the stored arrays: the heights, jumps, own-ladder
-        offsets and ladder entries."""
+        deltas and their block bases, and ladder entries."""
         return sum(a.nbytes for a in self._arrays())
 
     def _arrays(self) -> tuple[memoryview, ...]:
-        return (self._height, self.jump, self.own, self.ladder_data)
+        return (self._height, self.jump, self.own, self.own_base, self.ladder_data)
 
 
 def fs_query(structure: OneLevelFL, x: int, d: int) -> int:

@@ -19,6 +19,7 @@ from .core import (
     CHUNK,
     NotAnIntegerError,
     ValueOutOfRangeError,
+    _BITS,
     _ladders,
     check_kappa,
     int64_array,
@@ -483,23 +484,25 @@ class LevelAncestorIndex:
 
     It keeps only what ``query`` reads, as memoryviews: each node's
     ``first_pos`` and ``depth`` from the tour, in the widths
-    :func:`euler_tour` gives them, and the ``own``, ``jump`` and
-    ``ladder_data`` that :func:`~findlarger.core._ladders` lays out, in
-    the width of the offsets' bound, with ``own`` kept at the first
-    visits only, each the offset of its chain's leaf.  The ladder entries are
-    translated from tour stops to the nodes at those stops.  The negated
-    depths have largest value 0, where the offsets are anchored, so the
-    ancestor at depth d of the ladder an offset o names is
-    ``ladder_data[o - d]``: ``own[v]`` for a short climb, the aligned
-    ``jump[xh]`` for a taller one.  Neither the tree, the rest of the
-    tour, the ladder starts nor the build's counters are kept.
+    :func:`euler_tour` gives them, and the ``own``, ``own_base``, ``jump``
+    and ``ladder_data`` that :func:`~findlarger.core._ladders` lays out,
+    with ``own`` kept at the first visits only, each the delta of its
+    chain's leaf's offset from the base of its first visit's block of
+    tour stops, in the width of the largest delta; the rest take the
+    width of the offsets' bound.  The ladder entries are translated from
+    tour stops to the nodes at those stops.  The negated depths have
+    largest value 0, where the offsets are anchored, so the ancestor at
+    depth d of the ladder an offset o names is ``ladder_data[o - d]``:
+    ``own[v] + own_base[first_pos[v] >> _BITS]`` for a short climb, the
+    aligned ``jump[xh]`` for a taller one.  Neither the tree, the rest of
+    the tour, the ladder starts nor the build's counters are kept.
 
     Raises InvalidKappaError for a kappa that is not an int of at least 3
     before the tour is built, and TreeTooLargeError for a tree
     :func:`euler_tour` cannot rank.
     """
 
-    __slots__ = ("first_pos", "depth", "kappa", "own", "jump", "ladder_data")
+    __slots__ = ("first_pos", "depth", "kappa", "own", "own_base", "jump", "ladder_data")
 
     def __init__(self, tree: Tree, kappa: int = 5):
         check_kappa(kappa)
@@ -509,7 +512,7 @@ class LevelAncestorIndex:
         # the tour is local, so its depths are negated in place; they are
         # 1-difference by construction
         np.negative(depths, out=depths)
-        own, ladder_data, jump, _ = _ladders(depths, kappa, -largest, 0, rising_queries=False)
+        own, own_base, ladder_data, jump, _ = _ladders(depths, kappa, -largest, 0, rising_queries=False)
         own = own[first_pos]  # by node, at its first visit
         # stops to nodes, in place, in pieces: no temporary of the ladders'
         # length; assigned, as the ladders can be wider than the tour
@@ -521,6 +524,7 @@ class LevelAncestorIndex:
         self.depth = memoryview(depth)
         self.kappa = kappa
         self.own = memoryview(own)
+        self.own_base = memoryview(own_base)
         self.jump = memoryview(jump)
         self.ladder_data = memoryview(ladder_data)
 
@@ -544,7 +548,7 @@ class LevelAncestorIndex:
         if t == 0:
             return v
         if t < self.kappa:
-            o = self.own[v]
+            o = self.own[v] + self.own_base[self.first_pos[v] >> _BITS]
         else:
             # the aligned jump of OneLevelFL.query
             x = self.first_pos[v]
@@ -560,14 +564,16 @@ class LevelAncestorIndex:
 
     def entry_count(self) -> int:
         """Stored entries: three per node (first tour position, depth and
-        own-ladder offset), one jump per tour stop, and the ladder entries
-        of the leaves and the last stop."""
+        own-ladder delta), one jump per tour stop, a base per block of
+        tour stops, and the ladder entries of the leaves and the last
+        stop."""
         return sum(len(a) for a in self._arrays())
 
     def resident_bytes(self) -> int:
         """Bytes held by the stored arrays: the nodes' first tour positions,
-        depths and own-ladder offsets, the jumps and the ladder entries."""
+        depths and own-ladder deltas, the deltas' block bases, the jumps and
+        the ladder entries."""
         return sum(a.nbytes for a in self._arrays())
 
     def _arrays(self) -> tuple[memoryview, ...]:
-        return (self.first_pos, self.depth, self.own, self.jump, self.ladder_data)
+        return (self.first_pos, self.depth, self.own, self.own_base, self.jump, self.ladder_data)

@@ -75,13 +75,26 @@ def readers(values):
     return d
 
 
+def own_offsets(s):
+    """Each position's own-ladder offset, as the index decodes it."""
+    return [s._own_offset(x) for x in range(s.n)]
+
+
+def absolute(own, own_base, pos=None):
+    """The offsets that the own-ladder deltas of ``_ladders`` stand for,
+    kept at tour stops or positions ``pos`` (0, 1, ... by default): each
+    delta plus the base of its position's block, in int64."""
+    pos = np.arange(len(own)) if pos is None else np.asarray(pos, dtype=np.int64)
+    return np.asarray(own, dtype=np.int64) + np.asarray(own_base, dtype=np.int64)[pos // BLOCK]
+
+
 def ladders(s, values):
     """{z: (start, height)} for every descent end z of a built structure:
     where z's ladder starts in ``ladder_data``, from own[z] =
     start(z) + (y_max - values[z]) - 1, and how many entries it holds,
     up to the next ladder's start."""
     ends = sorted(descents(values))
-    starts = [int(s.own[z]) - (s.y_max - values[z]) + 1 for z in ends] + [len(s.ladder_data)]
+    starts = [s._own_offset(z) - (s.y_max - values[z]) + 1 for z in ends] + [len(s.ladder_data)]
     return {z: (a, b - a) for z, a, b in zip(ends, starts, starts[1:])}
 
 
@@ -222,10 +235,12 @@ class TestBuildExample:
         # own[z] = start(z) + (y_max - values[z]) - 1, and every reader of
         # z's ladder stores own[z]; 4's ladder reaches the top, so the empty
         # ladder of 5 after it has the same offset
-        assert list(s.own) == [1, 1, 1, 2, 2, 2]
+        assert own_offsets(s) == [1, 1, 1, 2, 2, 2]
+        # one block, whose least offset is the base of the deltas
+        assert list(s.own_base) == [1] and list(s.own) == [0, 0, 0, 1, 1, 1]
         # position 0 jumps to its own ladder, every other one to ladder 5,
         # each stored as own[base]
-        assert list(s.jump) == [s.own[b] for b in [0, 5, 5, 5, 5, 5]]
+        assert list(s.jump) == [s._own_offset(b) for b in [0, 5, 5, 5, 5, 5]]
         assert list(s.jump) == [1, 2, 2, 2, 2, 2]
         # 1 and 2 hold one entry of ladder 1 each and 3 none: 1's ladder
         # reaches the top, and 2 .. 3 rise by two
@@ -249,7 +264,7 @@ class TestBuildExample:
                     # every reader's own offset reads the same entry for
                     # each target above its own value
                     if y > EXAMPLE[x]:
-                        assert s.ladder_data[s.own[x] + y - s.y_max] == naive_fl(EXAMPLE, x, y)
+                        assert s.ladder_data[s._own_offset(x) + y - s.y_max] == naive_fl(EXAMPLE, x, y)
 
     def test_jump_of_zero_is_zero(self):
         # position 0 jumps to its own ladder, that of its descent's end
@@ -257,7 +272,7 @@ class TestBuildExample:
             for values in (EXAMPLE, list(range(16)), list(range(16, 0, -1))):
                 s = OneLevelFL(values, kappa)
                 z0 = readers(values)[0]
-                assert s.jump[0] == s.own[0] == s.y_max - values[z0] - 1
+                assert s.jump[0] == s._own_offset(0) == s.y_max - values[z0] - 1
 
     def test_endpoint_ladders_reach_the_top(self):
         # the ladder of 0's descent end and that of n - 1, which ends a
@@ -380,7 +395,7 @@ class TestBlockedFill:
             for kappa in kappas:
                 s = OneLevelFL(shifted, kappa)
                 own, ladder_data, jump = reference_build(shifted, kappa)
-                assert s.own.tolist() == own, (shift, kappa)
+                assert own_offsets(s) == own, (shift, kappa)
                 assert s.ladder_data.tolist() == ladder_data, (shift, kappa)
                 assert s.jump.tolist() == jump, (shift, kappa)
 
@@ -462,7 +477,7 @@ class TestRunLadders:
     def test_a_rising_position_reads_its_runs_ladder(self, values, kappa):
         d = readers(values)
         for v in at_the_limits(values):
-            own = OneLevelFL(v, kappa).own.tolist()
+            own = own_offsets(OneLevelFL(v, kappa))
             assert own == [own[d[x]] for x in range(len(values))]
 
     @pytest.mark.parametrize("seed", range(6))
@@ -476,12 +491,14 @@ class TestRunLadders:
         y_min, y_max = min(values), max(values)
         starts = [0] + [x for x in range(1, len(values)) if values[x] < values[x - 1]]
         for kappa in (3, 5, 2**62):
-            own, ladder_data, jump, _ = core._ladders(v, kappa, y_min, y_max, rising_queries=False)
-            assert (own.tolist(), ladder_data.tolist(), jump.tolist()) == reference_build(values, kappa, False)
+            own, own_base, ladder_data, jump, _ = core._ladders(v, kappa, y_min, y_max, rising_queries=False)
+            got = absolute(own, own_base).tolist(), ladder_data.tolist(), jump.tolist()
+            assert got == reference_build(values, kappa, False)
             s = OneLevelFL.__new__(OneLevelFL)
             s.n, s.kappa, s.y_max = len(values), kappa, y_max
             s._height = memoryview(core._heights(v, y_min, y_max))
-            s.own, s.jump, s.ladder_data = memoryview(own), memoryview(jump), memoryview(ladder_data)
+            s.own, s.own_base = memoryview(own), memoryview(own_base)
+            s.jump, s.ladder_data = memoryview(jump), memoryview(ladder_data)
             for x in starts:
                 for y in range(y_min - 1, y_max + 2):
                     assert s.query(x, y) == naive_fl(values, x, y), (kappa, x, y)
@@ -496,7 +513,7 @@ class TestRunLadders:
         assert len(values) > 3 * BLOCK
         s = OneLevelFL(values, kappa)
         own, ladder_data, jump = reference_build(values, kappa)
-        assert (s.own.tolist(), s.ladder_data.tolist(), s.jump.tolist()) == (own, ladder_data, jump)
+        assert (own_offsets(s), s.ladder_data.tolist(), s.jump.tolist()) == (own, ladder_data, jump)
         climbs = list(range(1, min(kappa + 1, 32) + 1)) + [kappa + 2, 3 * kappa, 4999]
         want = climb_answers(values, climbs)
         for x in range(0, len(values), 97):
@@ -627,8 +644,9 @@ class TestPositionWidth:
         assert np.asarray(s._height).dtype == np.asarray(d._height).dtype == heights
         assert np.asarray(d.table).dtype == compute_valleys(values).dtype == positions
         offsets = position_dtype(max(n, len(s.ladder_data) + spread))
-        for view in (s.own, s.jump, s.ladder_data):
+        for view in (s.own_base, s.jump, s.ladder_data):
             assert np.asarray(view).dtype == offsets
+        assert np.asarray(s.own).dtype == position_dtype(max(s.own))
         # every climb up to kappa + 1, through the ladders, and taller ones
         # through the jumps, to the spread, from about 4096 positions
         climbs = list(range(1, 7)) + [2**k + 1 for k in range(3, spread.bit_length())] + [spread - 1, spread]
@@ -655,8 +673,14 @@ class TestPositionWidth:
         assert tour.depth.dtype == np.asarray(idx.depth).dtype == depths
         assert tour.nodes.dtype == tour.first_pos.dtype == np.asarray(idx.first_pos).dtype == positions
         offsets = position_dtype(max(last + 1, len(idx.ladder_data) + deepest))
-        for view in (idx.own, idx.jump, idx.ladder_data):
+        for view in (idx.own_base, idx.jump, idx.ladder_data):
             assert np.asarray(view).dtype == offsets
+        # the first visits' deltas, in the width of the largest delta over
+        # the whole tour, where the return stops can hold larger ones
+        own, own_base = core._ladders(-tour.depths, 5, -deepest, 0, rising_queries=False)[:2]
+        assert np.asarray(idx.own).dtype == own.dtype == position_dtype(int(own.max()))
+        assert idx.own.tolist() == own[tour.first_pos].tolist()
+        assert idx.own_base.tolist() == own_base.tolist()
         # the ancestor of v at depth d on a path is node d: every climb up
         # to kappa + 1 from every node, and taller ones to the root
         climbs = list(range(7)) + [2**k + 1 for k in range(3, deepest.bit_length())] + [deepest]
@@ -667,6 +691,35 @@ class TestPositionWidth:
                 assert naive_la(tree, v, d) == d
         for v in range(deepest + 1):
             assert [idx.query(v, max(v - t, 0)) for t in climbs] == [max(v - t, 0) for t in climbs], v
+
+    @pytest.mark.parametrize(
+        "shape, kappa, width",
+        [("walk", 5, np.int16), ("tree", 5, np.int16), ("walk-up", 2**62, np.int32)],
+    )
+    def test_own_deltas_take_the_width_of_the_largest(self, shape, kappa, width):
+        # a block of a random walk or tour spans a few thousand offsets; at
+        # kappa 2^62 a walk drifting up holds about 150 entries per
+        # position, so its one block spans more than 2^15 offsets
+        if shape == "tree":
+            tree = Tree.from_parents(random_parent_array(1 << 13, seed=1))
+            tour = euler_tour(tree)
+            idx = LevelAncestorIndex(tree, kappa)
+            own, own_base, jump, pos = idx.own, idx.own_base, idx.jump, tour.first_pos
+            values = (-tour.depths).tolist()
+            rising_queries = False
+        else:
+            values = random_walk_values(1 << 16, seed=1) if shape == "walk" else random_walk_values(3000, seed=3000, bias=0.6)
+            s = OneLevelFL(values, kappa)
+            own, own_base, jump, pos = s.own, s.own_base, s.jump, np.arange(len(values))
+            rising_queries = True
+        deltas = np.asarray(own)
+        assert deltas.dtype == width and deltas.min() >= 0
+        if width is np.int32:
+            assert deltas.max() > 2**15 - 1
+        # the bases take the width of the jumps' offsets
+        assert np.asarray(own_base).dtype == np.asarray(jump).dtype
+        want = reference_build(values, kappa, rising_queries)[0]
+        assert absolute(own, own_base, pos).tolist() == [want[x] for x in pos]
 
     @pytest.mark.parametrize("n, kappa", [(1 << 17, 5), (3 * BLOCK + 5, 2**62)])
     def test_int32_arrays_equal_the_per_position_loop(self, n, kappa):
@@ -688,7 +741,9 @@ class TestPositionWidth:
             searched[q] = held - max(rows, below)
         assert all(max(searched[a : a + BLOCK]) > 0 for a in range(0, n, BLOCK))
         assert all(max(gathered[a : a + BLOCK]) > 0 for a in range(0, n - BLOCK + 1, BLOCK))
-        for got, want in ((s.own, own), (s.ladder_data, ladder_data), (s.jump, jump)):
+        assert own_offsets(s) == own
+        assert np.asarray(s.own_base).dtype == np.int32
+        for got, want in ((s.ladder_data, ladder_data), (s.jump, jump)):
             assert np.asarray(got).dtype == np.int32
             assert got.tobytes() == np.array(want, dtype=np.int32).tobytes()
 
@@ -766,7 +821,7 @@ class TestQuery:
     def test_staircase_jump_path(self):
         # ascending staircase forces the aligned-position branch
         s = OneLevelFL(list(range(16)), 5)
-        assert s.jump[2] == s.own[0] == 14  # into ladder 0
+        assert s.jump[2] == s._own_offset(0) == 14  # into ladder 0
         assert s.query(3, 15) == 15
         assert s.query(0, 15) == 15
         down = OneLevelFL(list(range(15, -1, -1)), 5)
@@ -821,7 +876,7 @@ class TestSpaceAndStats:
         assert r.total_ladder_entries == 3
         assert r.interior_ladder_entries == 1
         assert r.interior_bound == 48
-        assert r.words == 3 * 6 + 3
+        assert r.words == 3 * 6 + 1 + 3
 
     @settings(max_examples=150, deadline=None)
     @given(one_diff_lists(max_n=80), st.integers(3, 7))
@@ -846,11 +901,39 @@ class TestSpaceAndStats:
     def test_resident_bytes_are_the_arrays_nbytes(self):
         s = OneLevelFL(EXAMPLE, 5)
         r = s.space_report()
-        # 6 heights, 6 jumps, 6 own offsets and 3 ladder entries in int8
-        assert s.resident_bytes() == 1 * (6 + 6 + 6 + 3) == 21
-        assert s.entry_count() == r.words == 6 + 6 + 6 + 3
+        # 6 heights, 6 jumps, 6 own deltas, 1 base and 3 ladder entries in int8
+        assert s.resident_bytes() == 1 * (6 + 6 + 6 + 1 + 3) == 22
+        assert s.entry_count() == r.words == 6 + 6 + 6 + 1 + 3
         # kappa 2^62 makes every ladder full height, as tall as at kappa 5 here
-        assert OneLevelFL(EXAMPLE, 2**62).resident_bytes() == 21
+        assert OneLevelFL(EXAMPLE, 2**62).resident_bytes() == 22
+
+    @pytest.mark.parametrize("shape, ceiling", [("walk", 15.5), ("tree", 15.0)])
+    def test_bytes_per_position_stay_under_their_ceiling(self, shape, ceiling):
+        # 15.01 bytes per position on the seed-1 walk of 2^16 steps (2-byte
+        # heights and own deltas, 4-byte jumps and 1.76 ladder entries per
+        # position) and 14.77 per node on the seed-1 tree of 2^13 nodes;
+        # a change that grows either index must raise its ceiling here
+        if shape == "walk":
+            n, index = 1 << 16, OneLevelFL(random_walk_values(1 << 16, seed=1))
+        else:
+            n, index = 1 << 13, LevelAncestorIndex(Tree.from_parents(random_parent_array(1 << 13, seed=1)))
+        assert index.resident_bytes() / n <= ceiling
+
+    @pytest.mark.parametrize("i", range(5))
+    def test_report_across_blocks(self, i):
+        # criterion 3's first inputs, 10^5 steps at each bias: the endpoint
+        # ladders, read through the own deltas of the first and the last
+        # block, reach the top, and every other entry is interior
+        values = random_walk_values(100_000, seed=3000 + i, bias=(-0.6, -0.3, 0.0, 0.3, 0.6)[i])
+        s = OneLevelFL(values, 5)
+        n, y_max, z0 = len(values), max(values), readers(values)[0]
+        assert len(s.own_base) == -(-n // BLOCK)
+        r = s.space_report()
+        assert r.total_ladder_entries == len(s.ladder_data)
+        assert r.interior_ladder_entries == r.total_ladder_entries - (y_max - values[z0]) - (
+            y_max - values[-1] if z0 != n - 1 else 0
+        )
+        assert r.words == 3 * n + len(s.own_base) + len(s.ladder_data) == s.entry_count()
 
     def test_heights_take_the_width_of_the_spread(self, monkeypatch):
         # under a width rule of int8 below 2^7, the heights of a run of 100
@@ -868,7 +951,10 @@ class TestSpaceAndStats:
             total = len(s.ladder_data)
             assert total < 2**7 <= total + 99
             assert np.asarray(s._height).dtype == np.asarray(d._height).dtype == np.int8
-            assert s.resident_bytes() == 1 * n + 8 * (n + n + total)
+            # heights and own deltas, which span less than 2^7, in int8;
+            # jumps, the one base and the ladder entries in int64
+            assert np.asarray(s.own).dtype == np.int8
+            assert s.resident_bytes() == 1 * (n + n) + 8 * (n + 1 + total)
             assert d.resident_bytes() == 1 * n + d.table.nbytes
             xs, ys = full_grid(values)
             for x in xs:

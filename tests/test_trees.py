@@ -33,7 +33,7 @@ from findlarger.formats import write_parens
 from findlarger.gen import random_parent_array
 from findlarger.oracle import naive_la
 
-from test_core import descents, reference_build
+from test_core import absolute, descents, reference_build
 
 
 def tree_from(parent):
@@ -465,8 +465,11 @@ class TestLevelAncestorIndex:
         n = 1 << 16
         tree = Tree.from_parents(np.arange(-1, n - 1))  # a path: node v at depth v
         idx = LevelAncestorIndex(tree)
-        for view in (idx.first_pos, idx.depth, idx.own, idx.jump, idx.ladder_data):
+        for view in (idx.first_pos, idx.depth, idx.own_base, idx.jump, idx.ladder_data):
             assert np.asarray(view).dtype == np.int32
+        # a block of first visits down the path reads ladders that lie
+        # within a few blocks' length of each other
+        assert np.asarray(idx.own).dtype == np.int16
         assert idx.depth.tolist() == list(range(n))
         assert all(idx.query(v, v) == v for v in range(n))
         rng = random.Random(16)
@@ -475,7 +478,7 @@ class TestLevelAncestorIndex:
             for d in (0, v // 2, v, rng.randrange(v + 1)):
                 assert idx.query(v, d) == naive_la(tree, v, d) == d
 
-    def test_storage_is_five_int8_arrays(self):
+    def test_storage_is_six_int8_arrays(self):
         idx = LevelAncestorIndex(parse_parent_array("6\n-1 0 0 1 1 2"))
         # 6 nodes, 11 tour stops; the ladder entries are node ids
         assert len(idx.first_pos) == len(idx.depth) == len(idx.own) == 6
@@ -485,10 +488,12 @@ class TestLevelAncestorIndex:
         # [1, 0] for node 4 and [2, 0] for node 5; the last stop's is empty
         assert idx.ladder_data.tolist() == [1, 0, 1, 0, 2, 0]
         # own[v] = start of the ladder of the leaf that v's chain of first
-        # visits reaches + depth(leaf) - 1: nodes 0, 1 and 3 share node 3's
-        assert idx.own.tolist() == [1, 1, 5, 1, 3, 5]
-        assert idx.entry_count() == 6 + 6 + 6 + 11 + 6
-        assert idx.resident_bytes() == 1 * (6 + 6 + 6 + 11 + 6) == 35
+        # visits reaches + depth(leaf) - 1: nodes 0, 1 and 3 share node 3's;
+        # kept as deltas from the least, the one block's base
+        assert absolute(idx.own, idx.own_base, idx.first_pos).tolist() == [1, 1, 5, 1, 3, 5]
+        assert idx.own.tolist() == [0, 0, 4, 0, 2, 4] and idx.own_base.tolist() == [1]
+        assert idx.entry_count() == 6 + 6 + 6 + 1 + 11 + 6
+        assert idx.resident_bytes() == 1 * (6 + 6 + 6 + 1 + 11 + 6) == 36
         for name in ("nodes", "depths", "ladder_start", "_fs"):
             assert not hasattr(idx, name)
         kept = [getattr(idx, name) for name in idx.__slots__]
@@ -551,7 +556,7 @@ def test_every_pair_matches_the_oracle(parent):
         assert got == want, kappa
         # the offsets lie in [-1, ladder entries + largest depth)
         bound = len(idx.ladder_data) + max(depth)
-        for offsets in (np.asarray(idx.jump), np.asarray(idx.own)):
+        for offsets in (np.asarray(idx.jump), absolute(idx.own, idx.own_base, idx.first_pos)):
             assert offsets.min() >= -1 and offsets.max() < bound
 
 
@@ -571,7 +576,7 @@ def test_offsets_take_the_width_of_their_bound(monkeypatch):
     monkeypatch.setattr(core, "position_dtype", lambda largest: np.int8 if largest < 2**7 else np.int64)
     got = LevelAncestorIndex(tree, 3)
     assert len(want.jump) < 2**7 and len(want.ladder_data) < 2**7 <= max(want.jump)
-    for name in ("own", "jump", "ladder_data"):
+    for name in ("own", "own_base", "jump", "ladder_data"):
         assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
     depth = want.depth.tolist()
     for v in range(len(depth)):
@@ -626,8 +631,9 @@ def test_masked_ladders_are_the_full_ones_less_the_dropped(kappa):
     assert n > 3 * BLOCK
     valley = compute_valleys(values.tolist())
     y_min = int(values.min())
-    full_own, full_data, full_jump, _ = _ladders(values, kappa, y_min, 0)
-    own, ladder_data, jump, _ = _ladders(values, kappa, y_min, 0, rising_queries=False)
+    full_own, full_base, full_data, full_jump, _ = _ladders(values, kappa, y_min, 0)
+    own, own_base, ladder_data, jump, _ = _ladders(values, kappa, y_min, 0, rising_queries=False)
+    full_own, own = absolute(full_own, full_base), absolute(own, own_base)
 
     # the descent ends: the last stop, and the stops that a step rises
     # from and none rises into, which are the leaves
@@ -658,11 +664,9 @@ def test_masked_ladders_are_the_full_ones_less_the_dropped(kappa):
     # 2^15 only where every ladder reaches the top
     width = core.position_dtype(max(n, len(ladder_data) - y_min))
     assert width is (np.int16 if kappa < 2**62 else np.int32)
-    for got, want in (
-        (own[ends], want_starts - values[ends] - 1),
-        (ladder_data, want_data),
-        (jump, want_jump),
-    ):
+    assert own_base.dtype == width
+    assert (own[ends] == want_starts - values[ends] - 1).all()
+    for got, want in ((ladder_data, want_data), (jump, want_jump)):
         assert got.dtype == width
         assert got.tobytes() == want.astype(width).tobytes()
 
@@ -699,9 +703,9 @@ def test_trees_build_as_the_per_position_loop(seed):
     values = (-euler_tour(Tree.from_parents(random_parent_array(2000, seed, 0.3 * seed))).depths).tolist()
     lead = [x for x in range(len(values)) if x in (0, len(values) - 1) or values[x] <= values[x - 1]]
     for kappa in (3, 5, 2**62):
-        own, ladder_data, jump = _ladders(np.array(values), kappa, min(values), 0, rising_queries=False)[:3]
+        own, own_base, ladder_data, jump, _ = _ladders(np.array(values), kappa, min(values), 0, rising_queries=False)
         want_own, want_data, want_jump = reference_build(values, kappa, rising_queries=False)
-        assert own[lead].tolist() == [want_own[x] for x in lead]
+        assert absolute(own, own_base)[lead].tolist() == [want_own[x] for x in lead]
         assert ladder_data.tolist() == want_data
         assert jump.tolist() == want_jump
         # no query starts at the top of a descent, a return stop, so no

@@ -15,6 +15,8 @@ from findlarger.gen import random_parent_array, random_walk_values
 from findlarger.oracle import naive_fl
 from findlarger.verify import check_sequence, check_tree
 
+from test_core import readers, reference_build
+
 WALK = random_walk_values(300, seed=11)
 
 
@@ -293,6 +295,25 @@ class TestCli:
         assert "kappa_prime: 4" in out
         assert "total_ladder_entries: 3" in out
         assert "interior_ladder_entries: 1" in out
+
+    def test_inspect_groups_ladders_across_blocks(self, tmp_path, capsys):
+        # 5000 steps cross a block edge, where the stored own deltas restart
+        # from a new base: the dump shows the offsets they stand for, and
+        # groups the positions by the ladder they read, the end of their
+        # descent or the start of their run
+        values = random_walk_values(5000, seed=5)
+        f = tmp_path / "walk.txt"
+        f.write_text(f"{len(values)}\n" + " ".join(map(str, values)) + "\n")
+        assert main(["inspect", str(f), "--kappa", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        own, ladder_data, _ = reference_build(values, 5)
+        assert f"OwnOffset: {' '.join(map(str, own))}" in lines
+        rows = [line.split(": ") for line in lines if line.startswith("Ladder[")]
+        groups = {}
+        for x, z in enumerate(readers(values)):
+            groups.setdefault(z, []).append(x)
+        assert [head for head, _ in rows] == [f"Ladder[{' '.join(map(str, xs))}]" for _, xs in sorted(groups.items())]
+        assert " ".join(entries for _, entries in rows).split() == list(map(str, ladder_data))
 
     def test_inspect_refuses_large_input(self, tmp_path):
         f = tmp_path / "big.txt"
